@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.generative.builder import GenerativeModelSpec
-from repro.privacy.approximate import ApproximateTestConfig
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 
 __all__ = ["GenerationConfig"]
@@ -54,14 +53,6 @@ class GenerationConfig:
         job).  Purely operational: retried chunks are bit-identical to the
         lost originals, so this knob never affects released rows and is
         excluded from fit artifact keys.
-    approximate:
-        Bounded-latency approximate privacy testing
-        (:class:`~repro.privacy.approximate.ApproximateTestConfig`).  ``None``
-        (the default) runs the exact scan; a config enables the sampling
-        path, whose release decisions stay bit-identical to exact.  Like the
-        engine knobs it only affects how generation is computed, so it is
-        excluded from fit artifact keys; it is mutually exclusive with the
-        ``max_plausible`` / ``max_check_plausible`` subset-scan knobs.
     """
 
     privacy: PlausibleDeniabilityParams = field(
@@ -76,7 +67,6 @@ class GenerationConfig:
     num_workers: int | None = None
     chunk_size: int = 512
     max_chunk_retries: int = 2
-    approximate: ApproximateTestConfig | None = None
 
     def __post_init__(self) -> None:
         fractions = (self.seed_fraction, self.structure_fraction, self.parameter_fraction)
@@ -94,10 +84,6 @@ class GenerationConfig:
             raise ValueError("chunk_size must be positive")
         if self.max_chunk_retries < 0:
             raise ValueError("max_chunk_retries must be non-negative")
-        if self.approximate is not None and not isinstance(
-            self.approximate, ApproximateTestConfig
-        ):
-            raise ValueError("approximate must be an ApproximateTestConfig or None")
 
     @classmethod
     def paper_defaults(cls, num_attributes: int = 11, total_epsilon: float = 1.0) -> "GenerationConfig":

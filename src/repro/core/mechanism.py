@@ -28,33 +28,13 @@ from repro.core.results import SynthesisAttempt, SynthesisReport
 from repro.datasets.dataset import Dataset
 from repro.obs.profile import phase as obs_phase
 from repro.generative.base import GenerativeModel
-from repro.privacy.approximate import (
-    ApproximateTestConfig,
-    approximate_plausible_counts,
-)
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
-    batch_plausible_seed_counts,
     make_privacy_test,
     partition_numbers,
 )
 
 __all__ = ["SynthesisMechanism"]
-
-
-def _spawn_stream(rng: np.random.Generator) -> np.random.Generator:
-    """An independent child generator that leaves the parent stream untouched.
-
-    Spawning advances the parent's SeedSequence child counter but consumes no
-    draws, so a path that spawns and a path that does not see identical
-    values from the parent — the property the approximate test's bit-identity
-    rests on.
-    """
-    try:
-        return rng.spawn(1)[0]
-    except AttributeError:  # numpy < 1.25: spawn via the seed sequence
-        child_seed = rng.bit_generator.seed_seq.spawn(1)[0]
-        return np.random.Generator(type(rng.bit_generator)(child_seed))
 
 
 class _SeedMatchIndex:
@@ -91,7 +71,6 @@ class SynthesisMechanism:
         model: GenerativeModel,
         seed_dataset: Dataset,
         params: PlausibleDeniabilityParams,
-        approximate: ApproximateTestConfig | None = None,
     ):
         if seed_dataset.schema != model.schema:
             raise ValueError("the seed dataset's schema must match the model's schema")
@@ -103,7 +82,6 @@ class SynthesisMechanism:
         self._model = model
         self._seeds = seed_dataset
         self._params = params
-        self._approximate = approximate
         self._test = make_privacy_test(params)
         self._match_index: _SeedMatchIndex | None = None
 
@@ -121,11 +99,6 @@ class SynthesisMechanism:
     def params(self) -> PlausibleDeniabilityParams:
         """The plausible-deniability parameters."""
         return self._params
-
-    @property
-    def approximate(self) -> ApproximateTestConfig | None:
-        """The approximate-test configuration, or ``None`` for exact-only."""
-        return self._approximate
 
     def prepare(self) -> "SynthesisMechanism":
         """Build the sorted prefix-key match index eagerly.
@@ -192,29 +165,24 @@ class SynthesisMechanism:
                 self._seeds.data[seed_indices], rng
             )
         with obs_phase("privacy_test"):
-            if self._approximate_active():
-                results = self._approximate_batch_results(
-                    seed_indices, candidates, rng
+            fast_counts = self._fast_batch_counts(seed_indices, candidates)
+            if fast_counts is not None:
+                counts, partitions, checked, saturated = fast_counts
+                results = self._test.results_from_counts(
+                    counts, partitions, checked, rng, saturated=saturated
                 )
             else:
-                fast_counts = self._fast_batch_counts(seed_indices, candidates)
-                if fast_counts is not None:
-                    counts, partitions, checked, saturated = fast_counts
-                    results = self._test.results_from_counts(
-                        counts, partitions, checked, rng, saturated=saturated
-                    )
-                else:
-                    probability_matrix = self._model.batch_probability_matrix(
-                        self._seeds.data, candidates
-                    )
-                    # The true seed is a row of the seed dataset, so its
-                    # generation probability is already a column of the matrix.
-                    seed_probabilities = probability_matrix[
-                        np.arange(batch_size), seed_indices
-                    ]
-                    results = self._test.run_batch(
-                        seed_probabilities, probability_matrix, rng
-                    )
+                probability_matrix = self._model.batch_probability_matrix(
+                    self._seeds.data, candidates
+                )
+                # The true seed is a row of the seed dataset, so its
+                # generation probability is already a column of the matrix.
+                seed_probabilities = probability_matrix[
+                    np.arange(batch_size), seed_indices
+                ]
+                results = self._test.run_batch(
+                    seed_probabilities, probability_matrix, rng
+                )
         return [
             SynthesisAttempt(
                 seed_index=int(seed_indices[index]),
@@ -223,89 +191,6 @@ class SynthesisMechanism:
             )
             for index in range(batch_size)
         ]
-
-    def _approximate_active(self) -> bool:
-        """Whether the batched path should decide candidates from samples.
-
-        The approximate mode is mutually exclusive with the subset-scan
-        knobs (``max_check_plausible`` / ``max_plausible`` already trade
-        exactness for speed in a different, paper-specified way) and is
-        bypassed below ``min_records`` where the exact scan is cheap.
-        """
-        return (
-            self._approximate is not None
-            and self._params.max_check_plausible is None
-            and self._params.max_plausible is None
-            and len(self._seeds) >= self._approximate.min_records
-        )
-
-    def _approximate_batch_results(
-        self,
-        seed_indices: np.ndarray,
-        candidates: np.ndarray,
-        rng: np.random.Generator,
-    ) -> list:
-        """Privacy-test a batch via sampling, bit-identical to the exact path.
-
-        The main stream ``rng`` is consumed exactly as the exact batched path
-        consumes it — the threshold draw below sits at the same stream
-        position (the randomized test's single ``size=batch`` Laplace draw;
-        a no-op for the deterministic test), and all sampler randomness comes
-        from a spawned child stream.
-        """
-        params = self._params
-        batch_size = candidates.shape[0]
-        thresholds = self._test.thresholds(batch_size, rng)
-        sampler_rng = _spawn_stream(rng)
-
-        # The seed's own generation probability (hence its γ-bucket) is exact
-        # and cheap: one pairwise diagonal, independent of the seed-set size.
-        seed_rows = self._seeds.data[seed_indices]
-        pair_matrix = self._model.batch_probability_matrix(seed_rows, candidates)
-        diagonal = pair_matrix[np.arange(batch_size), np.arange(batch_size)]
-        seed_partitions = partition_numbers(diagonal, params.gamma)
-
-        def probability_fn(
-            record_indices: np.ndarray, candidate_indices: np.ndarray
-        ) -> np.ndarray:
-            return self._model.batch_probability_matrix(
-                self._seeds.data[record_indices], candidates[candidate_indices]
-            )
-
-        def exact_fn(candidate_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            subset_seeds = seed_indices[candidate_ids]
-            subset_candidates = candidates[candidate_ids]
-            fast = self._fast_batch_counts(subset_seeds, subset_candidates)
-            if fast is not None:
-                counts, _, checked, _ = fast
-                return counts, checked
-            matrix = self._model.batch_probability_matrix(
-                self._seeds.data, subset_candidates
-            )
-            probabilities = matrix[np.arange(candidate_ids.size), subset_seeds]
-            counts, _, checked, _ = batch_plausible_seed_counts(
-                probabilities, matrix, params.gamma
-            )
-            return counts, checked
-
-        report = approximate_plausible_counts(
-            seed_partitions=seed_partitions,
-            seed_record_indices=np.asarray(seed_indices, dtype=np.int64),
-            thresholds=thresholds,
-            probability_fn=probability_fn,
-            exact_fn=exact_fn,
-            num_records=len(self._seeds),
-            gamma=params.gamma,
-            config=self._approximate,
-            rng=sampler_rng,
-        )
-        return self._test.results_from_counts(
-            report.counts,
-            seed_partitions,
-            report.records_checked,
-            escalated=report.escalated,
-            thresholds=thresholds,
-        )
 
     def _fast_batch_counts(
         self, seed_indices: np.ndarray, candidates: np.ndarray

@@ -166,9 +166,6 @@ class SynthesisReport:
             "count_saturated": np.array(
                 [attempt.test.count_saturated for attempt in self.attempts], dtype=bool
             ),
-            "escalated": np.array(
-                [attempt.test.escalated for attempt in self.attempts], dtype=bool
-            ),
         }
 
     @classmethod
@@ -181,19 +178,7 @@ class SynthesisReport:
         partitions = np.asarray(arrays["partition_indices"], dtype=np.int64)
         thresholds = np.asarray(arrays["thresholds"], dtype=np.float64)
         checked = np.asarray(arrays["records_checked"], dtype=np.int64)
-        # Absent in pre-approximate checkpoints; default to the exact-path
-        # values so old run stores keep resuming.  (`in` rather than `.get`:
-        # np.load's NpzFile mapping supports membership on every version.)
-        saturated = (
-            np.asarray(arrays["count_saturated"], dtype=bool)
-            if "count_saturated" in arrays
-            else np.zeros(seed_indices.size, dtype=bool)
-        )
-        escalated = (
-            np.asarray(arrays["escalated"], dtype=bool)
-            if "escalated" in arrays
-            else np.zeros(seed_indices.size, dtype=bool)
-        )
+        saturated = np.asarray(arrays["count_saturated"], dtype=bool)
         attempts = [
             SynthesisAttempt(
                 seed_index=int(seed_indices[index]),
@@ -205,7 +190,6 @@ class SynthesisReport:
                     threshold=float(thresholds[index]),
                     records_checked=int(checked[index]),
                     count_saturated=bool(saturated[index]),
-                    escalated=bool(escalated[index]),
                 ),
             )
             for index in range(seed_indices.size)

@@ -1,11 +1,11 @@
 """Per-phase profiling hooks with a strict no-op fast path.
 
-The hot paths (``SynthesisMechanism.propose_batch``, the engine's merge,
-the approximate privacy test) call :func:`phase` unconditionally.  Unless
-a :class:`PhaseProfile` has been activated for the *current thread* via
-:func:`profiled`, the context manager yields immediately without reading
-the clock — so worker processes (which never activate a profile) and
-telemetry-off deployments pay a single thread-local attribute lookup.
+The hot paths (``SynthesisMechanism.propose_batch`` and the engine's merge)
+call :func:`phase` unconditionally.  Unless a :class:`PhaseProfile` has been
+activated for the *current thread* via :func:`profiled`, the context manager
+yields immediately without reading the clock — so worker processes (which
+never activate a profile) and telemetry-off deployments pay a single
+thread-local attribute lookup.
 
 Activation is thread-local on purpose: the service executes each fold
 synchronously on one dispatcher thread, so the phases measured between

@@ -110,10 +110,7 @@ class SchedulerStats:
 
     The privacy-test counters aggregate over every attempt of every
     completed report: ``records_checked`` is the total seed records the
-    test examined, ``test_attempts`` the candidates tested, and
-    ``escalations`` how many of those were escalated from the approximate
-    sampling path to the exact scan (``escalation_rate`` = escalations /
-    ``test_attempts``; always 0.0 on the exact path, where nothing escalates).
+    test examined and ``test_attempts`` the candidates tested.
     """
 
     submitted: int = 0
@@ -135,8 +132,6 @@ class SchedulerStats:
     utilization: float = 0.0  # engine_busy_seconds / scheduler uptime
     records_checked: int = 0  # seed records examined by the privacy test
     test_attempts: int = 0  # candidates privacy-tested across all reports
-    escalations: int = 0  # approximate-test candidates escalated to exact
-    escalation_rate: float = 0.0  # escalations / test_attempts
 
 
 def _serial_fold(
@@ -360,12 +355,6 @@ class RequestScheduler:
                 ),
                 records_checked=self._stats.records_checked,
                 test_attempts=self._stats.test_attempts,
-                escalations=self._stats.escalations,
-                escalation_rate=(
-                    self._stats.escalations / self._stats.test_attempts
-                    if self._stats.test_attempts
-                    else 0.0
-                ),
             )
 
     def queue_depth(self) -> int:
@@ -513,20 +502,14 @@ class RequestScheduler:
                     self._obs.requests_total.inc(status="failed")
                 future.set_exception(outcome)
             else:
-                checked = 0
-                escalated = 0
                 attempts = getattr(outcome, "attempts", None) or ()
-                for attempt in attempts:
-                    checked += attempt.test.records_checked
-                    escalated += bool(attempt.test.escalated)
+                checked = sum(attempt.test.records_checked for attempt in attempts)
                 with self._lock:
                     self._stats.completed += 1
                     self._stats.records_checked += checked
                     self._stats.test_attempts += len(attempts)
-                    self._stats.escalations += escalated
                 if self._obs is not None:
                     self._obs.requests_total.inc(status="completed")
                     self._obs.privacy_test_attempts_total.inc(len(attempts))
                     self._obs.privacy_records_checked_total.inc(checked)
-                    self._obs.privacy_escalations_total.inc(escalated)
                 future.set_result(outcome)

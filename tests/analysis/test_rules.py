@@ -116,6 +116,11 @@ class TestRngConstantSeed:
 
 
 class TestRngMissingParam:
+    #: repro functions that draw from an rng argument.
+    REPRO_SAMPLERS = (
+        "laplace_noise", "laplace_mechanism", "sample_dirichlet_rows", "chunk_rng"
+    )
+
     def test_hidden_stream_flagged(self):
         source = (
             "def sample_rows(count):\n"
@@ -149,18 +154,20 @@ class TestRngMissingParam:
         )
         assert "rng-missing-param" not in rules_fired(source)
 
-    def test_stratified_sampler_without_rng_flagged(self):
+    @pytest.mark.parametrize("func", REPRO_SAMPLERS)
+    def test_repro_sampler_without_rng_flagged(self, func):
         source = (
-            "def pick_records(num_records, size):\n"
+            "def draw(values):\n"
             "    gen = make_stream()\n"
-            "    return stratified_sample_indices(num_records, size, gen)\n"
+            f"    return {func}(values, gen)\n"
         )
         assert "rng-missing-param" in rules_fired(source)
 
-    def test_stratified_sampler_with_rng_clean(self):
+    @pytest.mark.parametrize("func", REPRO_SAMPLERS)
+    def test_repro_sampler_with_rng_clean(self, func):
         source = (
-            "def pick_records(num_records, size, rng):\n"
-            "    return stratified_sample_indices(num_records, size, rng)\n"
+            "def draw(values, rng):\n"
+            f"    return {func}(values, rng)\n"
         )
         assert "rng-missing-param" not in rules_fired(source)
 

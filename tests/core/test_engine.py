@@ -283,6 +283,25 @@ class TestCheckpointing:
             with pytest.raises(ValueError, match="different job signature"):
                 engine.run_attempts(32, base_seed=5, run_id="layout")
 
+    def test_checkpoint_with_removed_approximate_key_rejected(
+        self, unnoised_model, acs_splits, params, tmp_path
+    ):
+        # Checkpoints written while the signature still carried the removed
+        # approximate-test key ("approximate": null for exact runs) must be
+        # refused rather than adopted under a signature they never had.
+        store = RunStore(tmp_path / "store")
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=16, run_store=store
+        ) as engine:
+            engine.run_attempts(32, base_seed=5, run_id="legacy")
+        meta = store.load_run_meta("legacy")
+        store.save_run_meta("legacy", {**meta, "approximate": None})
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=16, run_store=store
+        ) as engine:
+            with pytest.raises(ValueError, match="different job signature"):
+                engine.run_attempts(32, base_seed=5, run_id="legacy")
+
     def test_corrupted_chunk_fails_loudly_on_resume(
         self, unnoised_model, acs_splits, params, tmp_path
     ):

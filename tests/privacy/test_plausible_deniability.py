@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.privacy.laplace import laplace_noise
 from repro.privacy.plausible_deniability import (
     DeterministicPrivacyTest,
     PlausibleDeniabilityParams,
     RandomizedPrivacyTest,
+    batch_plausible_seed_counts,
     make_privacy_test,
     partition_number,
     partition_numbers,
@@ -188,6 +190,17 @@ class TestDeterministicTest:
         result = DeterministicPrivacyTest(params)(0.5, np.array([0.5] * 10), rng)
         assert result.threshold == 7.0
 
+    def test_results_from_counts_draws_no_randomness(self):
+        # The mechanism hands its stream to either test; the deterministic
+        # one must leave it untouched so later candidates do not shift.
+        params = PlausibleDeniabilityParams(k=3, gamma=2.0)
+        rng = np.random.default_rng(5)
+        results = DeterministicPrivacyTest(params).results_from_counts(
+            np.array([2, 3, 9]), np.array([0, 1, 1]), np.array([10, 10, 10]), rng
+        )
+        assert [result.passed for result in results] == [False, True, True]
+        assert rng.random() == np.random.default_rng(5).random()
+
 
 class TestRandomizedTest:
     def test_requires_epsilon0(self):
@@ -221,6 +234,38 @@ class TestRandomizedTest:
         thresholds = {test(0.4, np.full(20, 0.4), rng).threshold for _ in range(20)}
         assert len(thresholds) > 1
 
+    def test_results_from_counts_draws_one_threshold_per_candidate(self):
+        # One size-n Laplace(1/ε0) draw at the current stream position, and
+        # nothing else: the stream afterwards sits exactly past that draw.
+        params = PlausibleDeniabilityParams(k=10, gamma=2.0, epsilon0=0.5)
+        counts = np.array([4, 10, 12, 30, 9])
+        rng = np.random.default_rng(17)
+        results = RandomizedPrivacyTest(params).results_from_counts(
+            counts, np.zeros(5, dtype=np.int64), np.full(5, 40), rng
+        )
+        reference = np.random.default_rng(17)
+        expected = params.k + laplace_noise(2.0, reference, size=5)
+        assert [result.threshold for result in results] == expected.tolist()
+        assert [result.passed for result in results] == (counts >= expected).tolist()
+        assert rng.random() == reference.random()
+
+    def test_run_batch_draws_thresholds_after_the_counts(self, rng):
+        # The dense scan and the prefix-key index both reach the thresholds
+        # through results_from_counts, so equal counts give equal results
+        # from the same stream.
+        params = PlausibleDeniabilityParams(k=10, gamma=2.0, epsilon0=1.0)
+        test = RandomizedPrivacyTest(params)
+        matrix = rng.random((12, 60)) * rng.integers(0, 2, size=(12, 60))
+        seed_probabilities = np.clip(matrix.max(axis=1), 1e-9, 1.0)
+        batched = test.run_batch(seed_probabilities, matrix, np.random.default_rng(3))
+        counts, partitions, checked, saturated = batch_plausible_seed_counts(
+            seed_probabilities, matrix, params.gamma
+        )
+        from_counts = test.results_from_counts(
+            counts, partitions, checked, np.random.default_rng(3), saturated=saturated
+        )
+        assert batched == from_counts
+
 
 class TestFactory:
     def test_randomized_selected_with_epsilon0(self):
@@ -230,3 +275,54 @@ class TestFactory:
     def test_deterministic_selected_without_epsilon0(self):
         test = make_privacy_test(PlausibleDeniabilityParams(k=5, gamma=2.0))
         assert isinstance(test, DeterministicPrivacyTest)
+
+
+class TestPartitionBoundaryGrid:
+    """Satellite property test: γ^-i lands exactly in bucket i on the edge.
+
+    Definition 1 buckets are γ^-(i+1) < Pr <= γ^-i, so a probability exactly
+    on the grid must snap *up* into bucket i, at every representable depth.
+    The scalar path must agree with the vectorized path everywhere — it
+    delegates, and this pins that contract.
+    """
+
+    GAMMAS = (1.5, 2.0, 3.0, 4.0, 10.0)
+
+    @staticmethod
+    def _grid(gamma: float, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        indices, probabilities = [], []
+        i = 0
+        while True:
+            p = gamma ** -float(i)
+            if p < floor or p == 0.0:
+                break
+            indices.append(i)
+            probabilities.append(p)
+            i += 1
+        return np.array(indices), np.array(probabilities, dtype=np.float64)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_edges_snap_up_through_the_normal_range(self, gamma):
+        # Down to the smallest *normal* float64; in the subnormal tail the
+        # float grid γ^-i itself loses precision for non-dyadic γ, so no
+        # exactness claim is possible there.
+        indices, probabilities = self._grid(gamma, np.finfo(np.float64).tiny)
+        assert indices.size > 300  # the grid really spans the float range
+        assert np.array_equal(partition_numbers(probabilities, gamma), indices)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_scalar_equals_vectorized_everywhere(self, gamma):
+        # Including the subnormal tail: whatever the vectorized path says,
+        # the scalar path must say bit-identically, since it delegates.
+        indices, probabilities = self._grid(gamma, 0.0)
+        vectorized = partition_numbers(probabilities, gamma)
+        scalar = np.array([partition_number(float(p), gamma) for p in probabilities])
+        assert np.array_equal(scalar, vectorized)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_bucket_interiors_classify_unambiguously(self, gamma):
+        # The geometric midpoint of (γ^-(i+1), γ^-i] is far from both edges,
+        # so no tolerance is involved: it must land in bucket i exactly.
+        for i in (0, 1, 5, 50, 300):
+            midpoint = gamma ** -(i + 0.5)
+            assert partition_number(midpoint, gamma) == i

@@ -139,6 +139,15 @@ class TestEndpoints:
         assert status in (400, 404)  # bad offset or already-expired release
         assert payload["code"] in ("bad_parameter", "unknown_release")
 
+    def test_removed_accuracy_budget_key_is_400(self, server_url):
+        status, payload = post(
+            f"{server_url}/sessions",
+            {"model": "tiny", "budget": {"max_rows": 10, "accuracy": "approximate"}},
+        )
+        assert status == 400
+        assert payload["code"] == "bad_budget"
+        assert "accuracy" in payload["error"]
+
     def test_unknown_routes_and_ids(self, server_url):
         status, payload = get(f"{server_url}/budget?session=nope")
         assert status == 404

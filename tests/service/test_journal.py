@@ -8,6 +8,8 @@ shared conservation checkers.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +212,88 @@ class TestIdempotency:
             one = app.generate(first_session, rows=2, seed=5, idempotency_key="k")
             two = app.generate(second_session, rows=2, seed=5, idempotency_key="k")
             assert one.release_id != two.release_id
+
+
+# --------------------------------------------------------------------------- #
+# Journals written while sessions chose a privacy-test accuracy contract
+# --------------------------------------------------------------------------- #
+#: Recorded before the approximate privacy test was removed, on the
+#: toy-correlated model (fit seed 5): an exact session ``s00001`` and a
+#: session ``s00002`` opened with ``"accuracy": "approximate"``, each with
+#: one idempotent release (keys ``e1`` and ``a1``).  The approximate
+#: session's releases name that variant's engine in ``engine_key``.
+LEGACY_JOURNAL = Path(__file__).parent / "fixtures" / "journal_with_approximate_session.jsonl"
+
+
+class TestLegacyAccuracyJournal:
+    """Replay of the fixture against the figures the recording server reported.
+
+    ε and δ are compared to 1e-12 relative: they are recomputed from the
+    model's per-row cost, whose last bits may differ across math libraries.
+    """
+
+    SPENT = {
+        "s00001": {"rows": 3, "epsilon": 3.164424709484985, "delta": 0.0003702294122600387},
+        "s00002": {"rows": 6, "epsilon": 6.32884941896997, "delta": 0.0007404588245200774},
+    }
+    REMAINING = {
+        "s00001": {"rows": 7, "epsilon": 46.83557529051502, "delta": None},
+        "s00002": {"rows": 6, "epsilon": 53.671150581030034, "delta": 0.49925954117547994},
+    }
+    #: (session, idempotency key, release id, seed, rows) -> released rows.
+    RELEASES = {
+        ("s00001", "e1", "rel000001", 7, 3): [[15, 2, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]],
+        ("s00002", "a1", "rel000002", 5, 4): [
+            [0, 1, 0, 0],
+            [3, 0, 1, 1],
+            [15, 1, 1, 0],
+            [0, 1, 0, 0],
+        ],
+    }
+
+    @staticmethod
+    def make_app(tmp_path) -> ServiceApp:
+        journal = tmp_path / "journal.jsonl"
+        shutil.copyfile(LEGACY_JOURNAL, journal)
+        scenario = get_scenario("toy-correlated")
+        app = ServiceApp(ModelRegistry(), num_workers=1, journal=journal)
+        app.publish_model("toy", scenario.dataset(0), scenario.config(), seed=5)
+        return app
+
+    def test_fixture_holds_both_contracts(self):
+        events = read_journal(LEGACY_JOURNAL)
+        contracts = [
+            event["budget"]["accuracy"]
+            for event in events
+            if event["event"] == "session_created"
+        ]
+        assert contracts == ["exact", "approximate"]
+        variants = {
+            event["release_id"]: event["engine_key"].partition("#")[2]
+            for event in events
+            if event["event"] == "release"
+        }
+        assert variants == {"rel000001": "", "rel000002": "approx", "rel000003": "approx"}
+
+    def test_budgets_replay_exactly(self, tmp_path):
+        with self.make_app(tmp_path) as app:
+            for session_id, spent in self.SPENT.items():
+                budget = app.budget(session_id)
+                assert budget["spent"] == pytest.approx(spent, rel=1e-12)
+                assert budget["remaining"] == pytest.approx(
+                    self.REMAINING[session_id], rel=1e-12
+                )
+                assert budget["reserved"]["rows"] == 0
+                assert "accuracy" not in budget["budget"]
+                check_accountant_conservation(app._session(session_id).accountant)
+
+    @pytest.mark.parametrize("release", sorted(RELEASES), ids=lambda r: r[1])
+    def test_idempotent_retry_returns_the_recorded_rows_for_free(self, tmp_path, release):
+        session_id, key, release_id, seed, rows = release
+        with self.make_app(tmp_path) as app:
+            spent = app.budget(session_id)["spent"]
+            record = app.generate(session_id, rows=rows, seed=seed, idempotency_key=key)
+            assert record.release_id == release_id
+            assert record.report.released_dataset().data.tolist() == self.RELEASES[release]
+            assert app.budget(session_id)["spent"] == spent
+            assert spent == pytest.approx(self.SPENT[session_id], rel=1e-12)

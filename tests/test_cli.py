@@ -1,12 +1,15 @@
 """Tests for the command-line generator tool."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
 from repro.cli import _release_warning, build_config, main
 from repro.datasets.dataset import Dataset
 from repro.datasets.metadata import read_metadata
+from repro.service.session import SessionBudget
 
 
 class TestBuildConfig:
@@ -33,6 +36,12 @@ class TestBuildConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             build_config({"not_a_key": 1}, num_attributes=11)
+
+    def test_removed_approximate_key_rejected(self):
+        # Config files that still select the removed approximate privacy
+        # test fail at the boundary instead of silently running exact.
+        with pytest.raises(ValueError, match="unknown config keys.*approximate"):
+            build_config({"approximate": True}, num_attributes=11)
 
 
 class TestReleaseWarning:
@@ -105,3 +114,15 @@ class TestServeArguments:
     def test_serve_unknown_scenario_rejected(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             main(["serve", "--scenario", "not-a-scenario", "--port", "0"])
+
+    def test_serve_budget_flags_are_the_session_budget_fields(self, capsys):
+        # One flag per SessionBudget field, and no flag for a removed one:
+        # a stale flag fails in argparse instead of being silently ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--help"])
+        assert excinfo.value.code == 0
+        flags = set(re.findall(r"--budget-[a-z-]+", capsys.readouterr().out))
+        assert flags == {
+            "--budget-" + field.name.replace("_", "-")
+            for field in dataclasses.fields(SessionBudget)
+        }

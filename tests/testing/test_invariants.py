@@ -176,6 +176,45 @@ class TestBatchedParityChecker:
                 mechanism, np.random.default_rng(3), batch_size=10
             )
 
+    @staticmethod
+    def _dense_scan_mechanism(monkeypatch):
+        # Models without the prefix-key interface count through the dense
+        # probability-matrix scan instead of the index.
+        from repro.core.mechanism import SynthesisMechanism
+
+        fit = get_scenario("tiny-n").fit(seed=0)
+        mechanism = SynthesisMechanism(fit.model, fit.seeds, fit.params)
+        monkeypatch.setattr(
+            mechanism, "_fast_batch_counts", lambda seed_indices, candidates: None
+        )
+        return mechanism
+
+    def test_conforming_dense_scan_passes(self, monkeypatch):
+        mechanism = self._dense_scan_mechanism(monkeypatch)
+        attempts = check_batched_mechanism_parity(
+            mechanism, np.random.default_rng(3), batch_size=12
+        )
+        assert len(attempts) == 12
+        assert mechanism._match_index is None
+
+    def test_broken_dense_scan_counts_detected(self, monkeypatch):
+        from repro.privacy.plausible_deniability import DeterministicPrivacyTest
+
+        mechanism = self._dense_scan_mechanism(monkeypatch)
+        original = DeterministicPrivacyTest.run_batch
+
+        def off_by_one(self, seed_probabilities, probability_matrix, rng):
+            return [
+                dataclasses.replace(result, plausible_seeds=result.plausible_seeds + 1)
+                for result in original(self, seed_probabilities, probability_matrix, rng)
+            ]
+
+        monkeypatch.setattr(DeterministicPrivacyTest, "run_batch", off_by_one)
+        with pytest.raises(InvariantViolation, match="plausible count"):
+            check_batched_mechanism_parity(
+                mechanism, np.random.default_rng(3), batch_size=10
+            )
+
     def test_saturation_and_scan_alignment_compared(self):
         # max_plausible stops the scan early on both paths; the batched path
         # must report the same records_checked and saturation flag as the
@@ -212,27 +251,6 @@ class TestBatchedParityChecker:
             check_batched_mechanism_parity(
                 mechanism, np.random.default_rng(5), batch_size=12
             )
-
-    def test_approximate_mechanism_decisions_still_compared(self):
-        # In approximate mode early-decided counts are lower bounds, so the
-        # checker must skip count comparison but still require bit-identical
-        # pass/fail decisions against the exact reference path.
-        from repro.core.mechanism import SynthesisMechanism
-        from repro.privacy.approximate import ApproximateTestConfig
-
-        fit = get_scenario("tiny-n").fit(seed=0)
-        mechanism = SynthesisMechanism(
-            fit.model,
-            fit.seeds,
-            fit.params,
-            approximate=ApproximateTestConfig(
-                initial_sample=16, min_records=1, strata=4
-            ),
-        )
-        attempts = check_batched_mechanism_parity(
-            mechanism, np.random.default_rng(7), batch_size=12
-        )
-        assert len(attempts) == 12
 
 
 class TestAccountantConservationChecker:
