@@ -4,7 +4,8 @@
   test parameters and the generative-model specification;
 * :mod:`repro.core.mechanism` — Mechanism 1 (seed → candidate → privacy test →
   release) with both the deterministic and randomized privacy tests;
-* :mod:`repro.core.results` — release bookkeeping (attempts, pass rates);
+* :mod:`repro.core.results` — release bookkeeping (attempts as columns, pass
+  rates);
 * :mod:`repro.core.pipeline` — the full tool: split the data, fit the DP
   generative model, generate and filter synthetics, report the privacy budget;
 * :mod:`repro.core.engine` — the chunk-dispatching parallel synthesis engine
@@ -25,7 +26,7 @@ from repro.core.engine import (
 from repro.core.mechanism import SynthesisMechanism
 from repro.core.parallel import generate_in_parallel
 from repro.core.pipeline import SynthesisPipeline
-from repro.core.results import SynthesisAttempt, SynthesisReport
+from repro.core.results import SynthesisReport
 from repro.core.run_store import RunStore
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "SynthesisEngine",
     "SynthesisMechanism",
     "SynthesisPipeline",
-    "SynthesisAttempt",
     "SynthesisReport",
     "generate_in_parallel",
 ]

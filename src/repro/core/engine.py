@@ -45,7 +45,9 @@ layer:
 * **Streaming reports and checkpoints.**  Chunk reports arrive incrementally
   (``progress`` callback) and can be checkpointed to a
   :class:`~repro.core.run_store.RunStore`, so a crashed or repeated run
-  resumes from its completed chunks instead of regenerating them.
+  resumes from its completed chunks instead of regenerating them.  Chunks
+  travel and are stored as report columns (``to_arrays``), which the parent
+  adopts without copying; malformed stored columns fail the resume loudly.
 
 * **Worker supervision with deterministic chunk retry.**  Each worker
   records the chunk it is executing in a crash-proof shared in-flight table
@@ -83,7 +85,7 @@ import numpy as np
 from repro.core.mechanism import SynthesisMechanism
 from repro.core.results import SynthesisReport
 from repro.obs.profile import phase as obs_phase
-from repro.core.run_store import RunStore, dataset_fingerprint
+from repro.core.run_store import RunStore, RunStoreCorruptionError, dataset_fingerprint
 from repro.datasets.dataset import Dataset
 from repro.datasets.schema import Schema
 from repro.generative.base import GenerativeModel
@@ -1353,17 +1355,13 @@ class SynthesisEngine:
         with obs_phase("merge"):
             for lane_index, lane in enumerate(job.lanes):
                 ordered: list[SynthesisReport] = []
-                released = 0
                 for index in lane_globals[lane_index]:
-                    if lane.target_released is not None and released >= lane.target_released:
-                        break
                     report = reports.get(index)
                     if report is None:
                         if lane.target_released is None:
                             raise RuntimeError(f"chunk {index} was never completed")
                         break
                     ordered.append(report)
-                    released += report.num_released
                 merged.append(
                     SynthesisReport.merged(
                         self._schema, ordered, stop_after_released=lane.target_released
@@ -1455,11 +1453,18 @@ class SynthesisEngine:
                 f"({stored}) than requested ({signature}); use a fresh run id or "
                 "matching parameters"
             )
-        return {
-            index: SynthesisReport.from_arrays(self._schema, arrays)
-            for index, arrays in self._run_store.load_chunks(run_id).items()
-            if index < job.num_chunks
-        }
+        reports = {}
+        for index, arrays in self._run_store.load_chunks(run_id).items():
+            if index >= job.num_chunks:
+                continue
+            try:
+                reports[index] = SynthesisReport.from_arrays(self._schema, arrays)
+            except ValueError as exc:
+                raise RunStoreCorruptionError(
+                    f"checkpoint chunk_{index:08d}.npz of run {run_id!r} has "
+                    f"malformed columns: {exc}"
+                ) from exc
+        return reports
 
     def _save_checkpoint(self, run_id: str | None, index: int, arrays: dict) -> None:
         if self._run_store is not None and run_id is not None:

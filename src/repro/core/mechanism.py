@@ -17,14 +17,15 @@ Besides the one-candidate-at-a-time reference loop (:meth:`propose`), the
 mechanism offers a batched path (:meth:`propose_batch` /
 :meth:`run_attempts_batched`) that pushes whole blocks of seeds through the
 model's vectorized generation and probability interfaces — the hot path for
-producing millions of records (Section 5, Figure 5).
+producing millions of records (Section 5, Figure 5).  Both paths return
+attempts as column blocks (:class:`~repro.core.results.SynthesisReport`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.results import SynthesisAttempt, SynthesisReport
+from repro.core.results import SynthesisReport
 from repro.datasets.dataset import Dataset
 from repro.obs.profile import phase as obs_phase
 from repro.generative.base import GenerativeModel
@@ -119,8 +120,8 @@ class SynthesisMechanism:
     # ------------------------------------------------------------------ #
     # Single-candidate operation
     # ------------------------------------------------------------------ #
-    def propose(self, rng: np.random.Generator) -> SynthesisAttempt:
-        """Run steps 1-3 of Mechanism 1 once and return the attempt."""
+    def propose(self, rng: np.random.Generator) -> SynthesisReport:
+        """Run steps 1-3 of Mechanism 1 once; the attempt as a 1-row block."""
         seed_index = int(rng.integers(len(self._seeds)))
         seed = self._seeds.record(seed_index)
         candidate = self._model.generate(seed, rng)
@@ -131,22 +132,34 @@ class SynthesisMechanism:
         seed_index: int,
         candidate: np.ndarray,
         rng: np.random.Generator,
-    ) -> SynthesisAttempt:
-        """Run the privacy test for an externally generated candidate."""
+    ) -> SynthesisReport:
+        """Run the privacy test for an externally generated candidate (1-row block)."""
         seed = self._seeds.record(seed_index)
         seed_probability = self._model.seed_probability(seed, candidate)
         dataset_probabilities = self._model.batch_seed_probabilities(
             self._seeds.data, candidate
         )
         result = self._test(seed_probability, dataset_probabilities, rng)
-        return SynthesisAttempt(seed_index=seed_index, candidate=candidate, test=result)
+        return SynthesisReport(
+            self._seeds.schema,
+            {
+                "seed_indices": [seed_index],
+                "candidates": [candidate],
+                "passed": [result.passed],
+                "plausible_seeds": [result.plausible_seeds],
+                "partition_indices": [result.partition_index],
+                "thresholds": [result.threshold],
+                "records_checked": [result.records_checked],
+                "count_saturated": [result.count_saturated],
+            },
+        )
 
     # ------------------------------------------------------------------ #
     # Batched operation
     # ------------------------------------------------------------------ #
     def propose_batch(
         self, batch_size: int, rng: np.random.Generator
-    ) -> list[SynthesisAttempt]:
+    ) -> SynthesisReport:
         """Run steps 1-3 of Mechanism 1 for a whole block of candidates at once.
 
         Seeds are drawn, candidates generated and the privacy test evaluated
@@ -155,7 +168,8 @@ class SynthesisMechanism:
         :meth:`~repro.generative.base.GenerativeModel.batch_probability_matrix`),
         so the per-candidate Python overhead of :meth:`propose` is amortized
         over the batch.  Each candidate's release decision is still
-        independent, exactly as in the sequential loop.
+        independent, exactly as in the sequential loop.  The kernels' arrays
+        become the block's columns as they are.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -168,7 +182,7 @@ class SynthesisMechanism:
             fast_counts = self._fast_batch_counts(seed_indices, candidates)
             if fast_counts is not None:
                 counts, partitions, checked, saturated = fast_counts
-                results = self._test.results_from_counts(
+                tested = self._test.results_from_counts(
                     counts, partitions, checked, rng, saturated=saturated
                 )
             else:
@@ -180,17 +194,13 @@ class SynthesisMechanism:
                 seed_probabilities = probability_matrix[
                     np.arange(batch_size), seed_indices
                 ]
-                results = self._test.run_batch(
+                tested = self._test.run_batch(
                     seed_probabilities, probability_matrix, rng
                 )
-        return [
-            SynthesisAttempt(
-                seed_index=int(seed_indices[index]),
-                candidate=candidates[index].copy(),
-                test=results[index],
-            )
-            for index in range(batch_size)
-        ]
+        return SynthesisReport(
+            self._seeds.schema,
+            {"seed_indices": seed_indices, "candidates": candidates, **tested},
+        )
 
     def _fast_batch_counts(
         self, seed_indices: np.ndarray, candidates: np.ndarray
@@ -272,12 +282,11 @@ class SynthesisMechanism:
             raise ValueError("num_attempts must be non-negative")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        report = SynthesisReport(schema=self._seeds.schema)
+        report = SynthesisReport(self._seeds.schema)
         remaining = num_attempts
         while remaining > 0:
             size = min(batch_size, remaining)
-            for attempt in self.propose_batch(size, rng):
-                report.record(attempt)
+            report.record(self.propose_batch(size, rng))
             remaining -= size
         return report
 
@@ -294,27 +303,25 @@ class SynthesisMechanism:
         attempts per requested record); the report may therefore contain fewer
         released records than requested when the privacy parameters are
         strict.  With ``batch_size`` set, candidates are proposed through the
-        vectorized batch path; recording stops at the Nth release exactly as
-        in the reference loop (the unrecorded i.i.d. remainder of the final
-        batch introduces no bias), so the released count never overshoots —
-        every release costs privacy budget.
+        vectorized batch path; the final block is truncated at the Nth release
+        exactly as in the reference loop (the unrecorded i.i.d. remainder of
+        the final batch introduces no bias), so the released count never
+        overshoots — every release costs privacy budget.
         """
         if num_released < 0:
             raise ValueError("num_released must be non-negative")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive when provided")
         limit = max_attempts if max_attempts is not None else 100 * max(1, num_released)
-        report = SynthesisReport(schema=self._seeds.schema)
+        report = SynthesisReport(self._seeds.schema)
         if batch_size is None or batch_size == 1:
             while report.num_released < num_released and report.num_attempts < limit:
                 report.record(self.propose(rng))
             return report
         while report.num_released < num_released and report.num_attempts < limit:
             size = min(batch_size, limit - report.num_attempts)
-            for attempt in self.propose_batch(size, rng):
-                report.record(attempt)
-                if report.num_released >= num_released:
-                    break
+            block = self.propose_batch(size, rng)
+            report.record(block.until_released(num_released - report.num_released))
         return report
 
     def run_attempts(
@@ -332,7 +339,7 @@ class SynthesisMechanism:
             raise ValueError("num_attempts must be non-negative")
         if batch_size is not None and batch_size > 1:
             return self.run_attempts_batched(num_attempts, rng, batch_size)
-        report = SynthesisReport(schema=self._seeds.schema)
+        report = SynthesisReport(self._seeds.schema)
         for _ in range(num_attempts):
             report.record(self.propose(rng))
         return report

@@ -1,61 +1,121 @@
-"""Bookkeeping structures for synthesis runs (attempts, pass rates, releases)."""
+"""Bookkeeping for synthesis runs: attempts as one block of parallel columns.
+
+A :class:`SynthesisReport` keeps the struct-of-arrays form the batched kernels
+produce (:data:`COLUMNS`), from ``propose_batch`` through worker IPC, run
+checkpoints and the engine's merge to the service: no object per candidate.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.datasets.dataset import Dataset
 from repro.datasets.schema import Schema
-from repro.privacy.plausible_deniability import PrivacyTestResult
 
-__all__ = ["SynthesisAttempt", "SynthesisReport"]
+__all__ = ["COLUMNS", "SynthesisReport"]
+
+#: The report's columns in order, with their dtypes: row ``i`` of every
+#: column describes attempt ``i``.  ``candidates`` is n×m (one column per
+#: attribute); every other column is 1-D.
+COLUMNS: dict[str, type] = {
+    "seed_indices": np.int64,
+    "candidates": np.int64,
+    "passed": np.bool_,
+    "plausible_seeds": np.int64,
+    "partition_indices": np.int64,
+    "thresholds": np.float64,
+    "records_checked": np.int64,
+    "count_saturated": np.bool_,
+}
 
 
-@dataclass(frozen=True)
-class SynthesisAttempt:
-    """One proposed candidate synthetic and its privacy-test outcome."""
+def _checked_columns(schema: Schema, arrays: Mapping) -> dict[str, np.ndarray]:
+    """Adopt ``arrays`` as read-only columns (no copy if the dtype matches), or raise."""
+    missing = [name for name in COLUMNS if name not in arrays]
+    if missing:
+        raise ValueError(f"missing column(s) {missing}")
+    columns = {}
+    for name, dtype in COLUMNS.items():
+        column = np.asarray(arrays[name])
+        if not np.can_cast(column.dtype, dtype, casting="safe"):
+            raise ValueError(f"column {name!r} has dtype {column.dtype}, not {dtype.__name__}")
+        column = column.astype(dtype, copy=False)
+        column.flags.writeable = False
+        columns[name] = column
+    seeds = columns["seed_indices"]
+    rows = len(seeds) if seeds.ndim == 1 else None
+    for name, column in columns.items():
+        expected = (rows, len(schema)) if name == "candidates" else (rows,)
+        if column.shape != expected:
+            raise ValueError(f"column {name!r} has shape {column.shape}, expected {expected}")
+    return columns
 
-    seed_index: int
-    candidate: np.ndarray
-    test: PrivacyTestResult
 
-    @property
-    def released(self) -> bool:
-        """Whether the candidate passed the test and may be released."""
-        return self.test.passed
-
-
-@dataclass
 class SynthesisReport:
-    """Aggregated outcome of a synthesis run.
+    """Every attempt of a synthesis run, as parallel read-only columns.
 
-    The release count is maintained incrementally by :meth:`record` so the
-    mechanism's until-n-released loop stays O(attempts) overall instead of
-    re-scanning the attempt list on every iteration.  Append attempts via
-    :meth:`record` (or pass them to the constructor) — mutating ``attempts``
-    directly would leave the counter stale.
+    :meth:`record` appends a whole block in O(block): blocks are joined into
+    one array per column once, on the first read, so building a report is
+    never quadratic (and the join is idempotent, so concurrent first reads
+    are safe).  The release count is kept as blocks arrive, so the until-N
+    loops read it without touching the columns.
     """
 
-    schema: Schema
-    attempts: list[SynthesisAttempt] = field(default_factory=list)
-    _num_released: int = field(default=0, init=False, repr=False)
+    def __init__(self, schema: Schema, columns: Mapping | None = None):
+        self.schema = schema
+        self._blocks = [] if columns is None else [_checked_columns(schema, columns)]
+        passed = self._blocks[0]["passed"] if self._blocks else ()
+        self._num_attempts = len(passed)
+        self._num_released = int(np.count_nonzero(passed))
 
-    def __post_init__(self) -> None:
-        self._num_released = sum(1 for attempt in self.attempts if attempt.released)
+    def _columns(self) -> dict[str, np.ndarray]:
+        if len(self._blocks) != 1:
+            joined = {
+                name: np.concatenate(
+                    [np.empty((0, len(self.schema)) if name == "candidates" else 0, dtype)]
+                    + [block[name] for block in self._blocks]
+                )
+                for name, dtype in COLUMNS.items()
+            }
+            for column in joined.values():
+                column.flags.writeable = False
+            self._blocks = [joined]
+        return self._blocks[0]
 
-    def record(self, attempt: SynthesisAttempt) -> None:
-        """Append one attempt to the report."""
-        self.attempts.append(attempt)
-        if attempt.released:
-            self._num_released += 1
+    def __getitem__(self, name: str) -> np.ndarray:
+        """One column (see :data:`COLUMNS`), read-only."""
+        return self._columns()[name]
+
+    def record(self, block: "SynthesisReport") -> None:
+        """Append a block of attempts to the report."""
+        if block.schema != self.schema:
+            raise ValueError("cannot combine reports with different schemas")
+        if block.num_attempts:
+            self._blocks.append(block._columns())
+            self._num_attempts += block.num_attempts
+            self._num_released += block.num_released
+
+    def until_released(self, target: int) -> "SynthesisReport":
+        """The shortest prefix holding ``target`` releases (all of it if none does).
+
+        The until-N stopping rule (``target <= 0`` keeps nothing).  A proper
+        prefix is copied, so a kept release never pins the rest of its block.
+        """
+        if target >= 1 and self._num_released < target:
+            return self
+        rows = 0 if target <= 0 else int(np.flatnonzero(self["passed"])[target - 1]) + 1
+        if rows == self._num_attempts:
+            return self
+        return SynthesisReport(
+            self.schema, {name: column[:rows].copy() for name, column in self._columns().items()}
+        )
 
     @property
     def num_attempts(self) -> int:
         """Total number of candidates proposed."""
-        return len(self.attempts)
+        return self._num_attempts
 
     @property
     def num_released(self) -> int:
@@ -65,37 +125,27 @@ class SynthesisReport:
     @property
     def pass_rate(self) -> float:
         """Fraction of candidates that passed the privacy test (Figure 6)."""
-        if not self.attempts:
+        if not self._num_attempts:
             return 0.0
-        return self.num_released / self.num_attempts
+        return self._num_released / self._num_attempts
 
     @property
     def mean_plausible_seeds(self) -> float:
         """Average plausible-seed count over all attempts."""
-        if not self.attempts:
+        if not self._num_attempts:
             return 0.0
-        return float(np.mean([attempt.test.plausible_seeds for attempt in self.attempts]))
+        return float(np.mean(self["plausible_seeds"]))
 
     def released_dataset(self) -> Dataset:
         """The released synthetic records as a dataset."""
-        released = [attempt.candidate for attempt in self.attempts if attempt.released]
-        if not released:
-            return Dataset(self.schema, np.empty((0, len(self.schema)), dtype=np.int64))
-        return Dataset(self.schema, np.vstack(released))
+        return Dataset(self.schema, self["candidates"][self["passed"]])
 
     def all_candidates_dataset(self) -> Dataset:
         """All proposed candidates (released or not), as the paper's tool outputs."""
-        if not self.attempts:
-            return Dataset(self.schema, np.empty((0, len(self.schema)), dtype=np.int64))
-        return Dataset(self.schema, np.vstack([attempt.candidate for attempt in self.attempts]))
+        return Dataset(self.schema, self["candidates"])
 
     def merge(self, *others: "SynthesisReport") -> "SynthesisReport":
-        """Combine this report with any number of others (e.g. worker chunks).
-
-        All attempt lists are concatenated in a single pass; merging W worker
-        reports is O(total attempts) instead of the O(W × total) cost of
-        repeated pairwise merges.
-        """
+        """Combine this report with any number of others (e.g. worker chunks)."""
         return SynthesisReport.merged(self.schema, [self, *others])
 
     @classmethod
@@ -105,93 +155,37 @@ class SynthesisReport:
         reports: "Sequence[SynthesisReport]",
         stop_after_released: int | None = None,
     ) -> "SynthesisReport":
-        """Concatenate many reports (in order) into one.
+        """Concatenate many reports (in order) into one, joining columns once.
 
         With ``stop_after_released`` set, recording stops right after the
         attempt that produces the Nth release — the same truncation rule as
         the mechanism's until-N-released loop, so a chunked engine run merged
         with this method matches the serial reference on the same chunks.
         """
-        attempts: list[SynthesisAttempt] = []
+        merged = cls(schema)
         for report in reports:
-            if report.schema != schema:
-                raise ValueError("cannot merge reports with different schemas")
-            attempts.extend(report.attempts)
-        if stop_after_released is not None:
-            released = 0
-            for index, attempt in enumerate(attempts):
-                if attempt.released:
-                    released += 1
-                    if released >= stop_after_released:
-                        attempts = attempts[: index + 1]
-                        break
-        return cls(schema=schema, attempts=attempts)
+            if stop_after_released is None:
+                merged.record(report)
+            elif merged.num_released < stop_after_released:
+                merged.record(report.until_released(stop_after_released - merged.num_released))
+        return merged
 
     # ------------------------------------------------------------------ #
-    # Compact array serialization (worker IPC and run checkpoints)
+    # The column format itself (worker IPC and run checkpoints)
     # ------------------------------------------------------------------ #
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Flatten the report into a dict of parallel numpy arrays.
+        """The report's own read-only columns (zero-copy), keyed as :data:`COLUMNS`.
 
-        One array per attempt field; the inverse of :meth:`from_arrays`.
-        This is how chunk reports travel between engine workers and the
-        parent, and how they are checkpointed to a run store — far cheaper
-        than pickling per-attempt objects.
+        Chunk reports travel between engine workers and the parent, and are
+        checkpointed to a run store, in this form.
         """
-        num = len(self.attempts)
-        num_columns = len(self.schema)
-        candidates = np.empty((num, num_columns), dtype=np.int64)
-        for index, attempt in enumerate(self.attempts):
-            candidates[index] = attempt.candidate
-        return {
-            "seed_indices": np.array(
-                [attempt.seed_index for attempt in self.attempts], dtype=np.int64
-            ),
-            "candidates": candidates,
-            "passed": np.array(
-                [attempt.test.passed for attempt in self.attempts], dtype=bool
-            ),
-            "plausible_seeds": np.array(
-                [attempt.test.plausible_seeds for attempt in self.attempts], dtype=np.int64
-            ),
-            "partition_indices": np.array(
-                [attempt.test.partition_index for attempt in self.attempts], dtype=np.int64
-            ),
-            "thresholds": np.array(
-                [attempt.test.threshold for attempt in self.attempts], dtype=np.float64
-            ),
-            "records_checked": np.array(
-                [attempt.test.records_checked for attempt in self.attempts], dtype=np.int64
-            ),
-            "count_saturated": np.array(
-                [attempt.test.count_saturated for attempt in self.attempts], dtype=bool
-            ),
-        }
+        return dict(self._columns())
 
     @classmethod
-    def from_arrays(cls, schema: Schema, arrays: dict[str, np.ndarray]) -> "SynthesisReport":
-        """Rebuild a report from the parallel arrays of :meth:`to_arrays`."""
-        seed_indices = np.asarray(arrays["seed_indices"], dtype=np.int64)
-        candidates = np.asarray(arrays["candidates"], dtype=np.int64)
-        passed = np.asarray(arrays["passed"], dtype=bool)
-        plausible = np.asarray(arrays["plausible_seeds"], dtype=np.int64)
-        partitions = np.asarray(arrays["partition_indices"], dtype=np.int64)
-        thresholds = np.asarray(arrays["thresholds"], dtype=np.float64)
-        checked = np.asarray(arrays["records_checked"], dtype=np.int64)
-        saturated = np.asarray(arrays["count_saturated"], dtype=bool)
-        attempts = [
-            SynthesisAttempt(
-                seed_index=int(seed_indices[index]),
-                candidate=candidates[index].copy(),
-                test=PrivacyTestResult(
-                    passed=bool(passed[index]),
-                    plausible_seeds=int(plausible[index]),
-                    partition_index=int(partitions[index]),
-                    threshold=float(thresholds[index]),
-                    records_checked=int(checked[index]),
-                    count_saturated=bool(saturated[index]),
-                ),
-            )
-            for index in range(seed_indices.size)
-        ]
-        return cls(schema=schema, attempts=attempts)
+    def from_arrays(cls, schema: Schema, arrays: Mapping[str, np.ndarray]) -> "SynthesisReport":
+        """Adopt the columns of :meth:`to_arrays` as a report, marking them read-only.
+
+        Raises ``ValueError`` unless every column is present, 1-D with one common
+        length n (``candidates`` n×m), and safely castable to its dtype.
+        """
+        return cls(schema, arrays)

@@ -1,7 +1,8 @@
 """Per-phase profiling hooks with a strict no-op fast path.
 
 The hot paths (``SynthesisMechanism.propose_batch`` and the engine's merge)
-call :func:`phase` unconditionally.  Unless a :class:`PhaseProfile` has been
+call :func:`phase` unconditionally, once per block of attempts (attempts are
+columns, never per-candidate objects).  Unless a :class:`PhaseProfile` has been
 activated for the *current thread* via :func:`profiled`, the context manager
 yields immediately without reading the clock — so worker processes (which
 never activate a profile) and telemetry-off deployments pay a single

@@ -107,7 +107,7 @@ class PlausibleDeniabilityParams:
 
 @dataclass(frozen=True)
 class PrivacyTestResult:
-    """Outcome of running a privacy test on one candidate synthetic record.
+    """Outcome of the scalar privacy test on one candidate (batches yield columns).
 
     ``count_saturated`` marks counts capped at ``max_plausible`` (the true
     bucket population is at least ``plausible_seeds``).
@@ -343,6 +343,21 @@ def satisfies_plausible_deniability(
 # --------------------------------------------------------------------------- #
 # Privacy tests
 # --------------------------------------------------------------------------- #
+def _test_columns(counts, partitions, checked, saturated, thresholds) -> dict[str, np.ndarray]:
+    """A batch's outcome as the test columns of a report (``repro.core.results.COLUMNS``)."""
+    counts = np.asarray(counts)
+    if saturated is None:
+        saturated = np.zeros(counts.shape, dtype=bool)
+    return {
+        "passed": counts >= thresholds,
+        "plausible_seeds": counts,
+        "partition_indices": np.asarray(partitions),
+        "thresholds": thresholds,
+        "records_checked": np.asarray(checked),
+        "count_saturated": np.asarray(saturated),
+    }
+
+
 class DeterministicPrivacyTest:
     """Privacy Test 1: pass iff the seed's bucket holds at least k records."""
 
@@ -383,7 +398,7 @@ class DeterministicPrivacyTest:
         seed_probabilities: np.ndarray,
         probability_matrix: np.ndarray,
         rng: np.random.Generator | None = None,
-    ) -> list[PrivacyTestResult]:
+    ) -> dict[str, np.ndarray]:
         """Run the test on a whole batch of candidates in one vectorized pass."""
         params = self._params
         counts, partitions, checked, saturated = batch_plausible_seed_counts(
@@ -404,20 +419,10 @@ class DeterministicPrivacyTest:
         rng: np.random.Generator | None = None,
         *,
         saturated: np.ndarray | None = None,
-    ) -> list[PrivacyTestResult]:
-        """Build per-candidate results from already-computed plausible counts."""
-        params = self._params
-        return [
-            PrivacyTestResult(
-                passed=bool(counts[index] >= params.k),
-                plausible_seeds=int(counts[index]),
-                partition_index=int(partitions[index]),
-                threshold=float(params.k),
-                records_checked=int(checked[index]),
-                count_saturated=bool(saturated[index]) if saturated is not None else False,
-            )
-            for index in range(len(counts))
-        ]
+    ) -> dict[str, np.ndarray]:
+        """The test columns of a block from already-computed plausible counts."""
+        thresholds = np.full(len(counts), float(self._params.k))
+        return _test_columns(counts, partitions, checked, saturated, thresholds)
 
 
 class RandomizedPrivacyTest:
@@ -472,7 +477,7 @@ class RandomizedPrivacyTest:
         seed_probabilities: np.ndarray,
         probability_matrix: np.ndarray,
         rng: np.random.Generator | None = None,
-    ) -> list[PrivacyTestResult]:
+    ) -> dict[str, np.ndarray]:
         """Vectorized Privacy Test 2: one Laplace threshold draw per candidate."""
         params = self._params
         if rng is None:
@@ -495,25 +500,15 @@ class RandomizedPrivacyTest:
         rng: np.random.Generator | None = None,
         *,
         saturated: np.ndarray | None = None,
-    ) -> list[PrivacyTestResult]:
-        """Build per-candidate results, drawing one Laplace threshold each."""
+    ) -> dict[str, np.ndarray]:
+        """The test columns of a block, drawing one Laplace threshold each."""
         params = self._params
         if rng is None:
             raise ValueError("the batched randomized test requires an rng")
         assert params.epsilon0 is not None
         # Accounted per Theorem 1 at release time.  # repro: allow[privacy-unrecorded-noise]
         thresholds = params.k + laplace_noise(1.0 / params.epsilon0, rng, size=len(counts))
-        return [
-            PrivacyTestResult(
-                passed=bool(counts[index] >= thresholds[index]),
-                plausible_seeds=int(counts[index]),
-                partition_index=int(partitions[index]),
-                threshold=float(thresholds[index]),
-                records_checked=int(checked[index]),
-                count_saturated=bool(saturated[index]) if saturated is not None else False,
-            )
-            for index in range(len(counts))
-        ]
+        return _test_columns(counts, partitions, checked, saturated, thresholds)
 
 
 def make_privacy_test(

@@ -72,6 +72,7 @@ from repro.service.scheduler import (
     QueueFullError,
     RequestScheduler,
     SchedulerStoppedError,
+    privacy_test_totals,
 )
 from repro.service.session import (
     BudgetExceededError,
@@ -693,17 +694,14 @@ class ServiceApp:
                         "from_checkpoint": p.from_checkpoint,
                     },
                 )
-            attempts = getattr(report, "attempts", None) or ()
+            attempts, checked = privacy_test_totals(report)
             obs.tracer.record_span(
                 request.request_id,
                 "privacy_test",
                 start=fold_end,
                 end=fold_end,
                 parent_id=engine_span.span_id,
-                attrs={
-                    "test_attempts": len(attempts),
-                    "records_checked": sum(a.test.records_checked for a in attempts),
-                },
+                attrs={"test_attempts": attempts, "records_checked": checked},
             )
 
     def _execute_fold(

@@ -134,6 +134,13 @@ class SchedulerStats:
     test_attempts: int = 0  # candidates privacy-tested across all reports
 
 
+def privacy_test_totals(outcome) -> tuple[int, int]:
+    """(attempts tested, records checked) of a fold outcome; 0s for non-reports."""
+    if not isinstance(outcome, SynthesisReport):
+        return 0, 0
+    return outcome.num_attempts, int(outcome["records_checked"].sum())
+
+
 def _serial_fold(
     executor: Callable[[GenerateRequest], SynthesisReport],
 ) -> Callable[[str, list[GenerateRequest]], list]:
@@ -502,14 +509,13 @@ class RequestScheduler:
                     self._obs.requests_total.inc(status="failed")
                 future.set_exception(outcome)
             else:
-                attempts = getattr(outcome, "attempts", None) or ()
-                checked = sum(attempt.test.records_checked for attempt in attempts)
+                attempts, checked = privacy_test_totals(outcome)
                 with self._lock:
                     self._stats.completed += 1
                     self._stats.records_checked += checked
-                    self._stats.test_attempts += len(attempts)
+                    self._stats.test_attempts += attempts
                 if self._obs is not None:
                     self._obs.requests_total.inc(status="completed")
-                    self._obs.privacy_test_attempts_total.inc(len(attempts))
+                    self._obs.privacy_test_attempts_total.inc(attempts)
                     self._obs.privacy_records_checked_total.inc(checked)
                 future.set_result(outcome)

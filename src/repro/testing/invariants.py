@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.engine import SynthesisEngine
 from repro.core.mechanism import SynthesisMechanism
-from repro.core.results import SynthesisAttempt, SynthesisReport
+from repro.core.results import SynthesisReport
 from repro.datasets.dataset import Dataset
 from repro.generative.base import GenerativeModel
 from repro.generative.structure import (
@@ -216,7 +216,7 @@ def check_batched_mechanism_parity(
     mechanism: SynthesisMechanism,
     rng: np.random.Generator,
     batch_size: int = 40,
-) -> list[SynthesisAttempt]:
+) -> SynthesisReport:
     """Require batched proposals to match single-record re-evaluation.
 
     Every attempt from :meth:`~repro.core.mechanism.SynthesisMechanism.propose_batch`
@@ -230,47 +230,36 @@ def check_batched_mechanism_parity(
     Pass/fail decisions are additionally compared whenever the test is
     deterministic and scans are unrestricted — including under
     ``max_plausible`` (both paths cap identically).  Returns the batched
-    attempts.
+    block.
     """
     params = mechanism.params
-    counts_are_pure = params.max_check_plausible is None
-    decisions_are_pure = (
-        not params.is_randomized and params.max_check_plausible is None
-    )
-    attempts = mechanism.propose_batch(batch_size, rng)
-    for index, attempt in enumerate(attempts):
-        reference = mechanism.evaluate_candidate(
-            attempt.seed_index, attempt.candidate, rng
+    compared = {"partition_indices": "partition"}
+    if params.max_check_plausible is None:
+        compared.update(
+            plausible_seeds="plausible count",
+            records_checked="records_checked",
+            count_saturated="saturation flag",
         )
-        label = f"attempt {index} (seed {attempt.seed_index})"
-        if counts_are_pure:
-            _require(
-                attempt.test.plausible_seeds == reference.test.plausible_seeds,
-                f"{label}: batched plausible count {attempt.test.plausible_seeds} "
-                f"!= reference {reference.test.plausible_seeds}",
+        if not params.is_randomized:
+            compared["passed"] = "decision"
+    block = mechanism.propose_batch(batch_size, rng)
+    batched = block.to_arrays()
+    reference = SynthesisReport.merged(
+        block.schema,
+        [
+            mechanism.evaluate_candidate(int(seed_index), candidate, rng)
+            for seed_index, candidate in zip(batched["seed_indices"], batched["candidates"])
+        ],
+    ).to_arrays()
+    for name, label in compared.items():
+        differ = np.flatnonzero(batched[name] != reference[name])
+        if differ.size:
+            index = int(differ[0])
+            raise InvariantViolation(
+                f"attempt {index} (seed {batched['seed_indices'][index]}): batched "
+                f"{label} {batched[name][index]} != reference {reference[name][index]}"
             )
-            _require(
-                attempt.test.records_checked == reference.test.records_checked,
-                f"{label}: batched records_checked {attempt.test.records_checked} "
-                f"!= reference {reference.test.records_checked}",
-            )
-            _require(
-                attempt.test.count_saturated == reference.test.count_saturated,
-                f"{label}: batched saturation flag {attempt.test.count_saturated} "
-                f"!= reference {reference.test.count_saturated}",
-            )
-        _require(
-            attempt.test.partition_index == reference.test.partition_index,
-            f"{label}: batched partition {attempt.test.partition_index} "
-            f"!= reference {reference.test.partition_index}",
-        )
-        if decisions_are_pure:
-            _require(
-                attempt.test.passed == reference.test.passed,
-                f"{label}: batched decision {attempt.test.passed} "
-                f"!= reference {reference.test.passed}",
-            )
-    return attempts
+    return block
 
 
 # --------------------------------------------------------------------------- #
@@ -374,51 +363,56 @@ def check_theorem1_bounds(
             if scan_limit is None
             else min(scan_limit, params.max_check_plausible)
         )
-    for index, attempt in enumerate(report.attempts):
-        test = attempt.test
-        label = f"attempt {index}"
-        _require(
-            test.partition_index >= 0,
-            f"{label}: the true seed fell outside every probability bucket "
-            f"(partition {test.partition_index})",
+    columns = report.to_arrays()
+    plausible = columns["plausible_seeds"]
+    partitions = columns["partition_indices"]
+    checked = columns["records_checked"]
+    thresholds = columns["thresholds"]
+    passed = columns["passed"]
+
+    def require_rows(holds: np.ndarray, message: Callable[[int], str]) -> None:
+        violations = np.flatnonzero(~holds)
+        if violations.size:
+            raise InvariantViolation(f"attempt {violations[0]}: {message(violations[0])}")
+
+    require_rows(
+        partitions >= 0,
+        lambda i: "the true seed fell outside every probability bucket "
+        f"(partition {partitions[i]})",
+    )
+    require_rows(plausible >= 0, lambda i: f"negative plausible-seed count {plausible[i]}")
+    if params.max_check_plausible is None:
+        require_rows(
+            plausible >= 1,
+            lambda i: f"a full scan must count the true seed itself, got {plausible[i]}",
         )
-        _require(
-            test.plausible_seeds >= 0,
-            f"{label}: negative plausible-seed count {test.plausible_seeds}",
+    if scan_limit is not None:
+        require_rows(
+            checked <= scan_limit,
+            lambda i: f"scanned {checked[i]} records, limit {scan_limit}",
         )
-        if params.max_check_plausible is None:
-            _require(
-                test.plausible_seeds >= 1,
-                f"{label}: a full scan must count the true seed itself, got "
-                f"{test.plausible_seeds}",
-            )
-        if scan_limit is not None:
-            _require(
-                test.records_checked <= scan_limit,
-                f"{label}: scanned {test.records_checked} records, limit {scan_limit}",
-            )
-        if params.max_plausible is not None:
-            _require(
-                test.plausible_seeds <= params.max_plausible,
-                f"{label}: plausible count {test.plausible_seeds} exceeds "
-                f"max_plausible {params.max_plausible}",
-            )
-        if params.is_randomized:
-            _require(
-                test.passed == (test.plausible_seeds >= test.threshold),
-                f"{label}: randomized decision {test.passed} contradicts count "
-                f"{test.plausible_seeds} vs threshold {test.threshold}",
-            )
-        else:
-            _require(
-                test.threshold == float(params.k),
-                f"{label}: deterministic threshold {test.threshold} != k={params.k}",
-            )
-            _require(
-                test.passed == (test.plausible_seeds >= params.k),
-                f"{label}: deterministic decision {test.passed} contradicts "
-                f"count {test.plausible_seeds} vs k={params.k}",
-            )
+    if params.max_plausible is not None:
+        require_rows(
+            plausible <= params.max_plausible,
+            lambda i: f"plausible count {plausible[i]} exceeds "
+            f"max_plausible {params.max_plausible}",
+        )
+    if params.is_randomized:
+        require_rows(
+            passed == (plausible >= thresholds),
+            lambda i: f"randomized decision {passed[i]} contradicts count "
+            f"{plausible[i]} vs threshold {thresholds[i]}",
+        )
+    else:
+        require_rows(
+            thresholds == float(params.k),
+            lambda i: f"deterministic threshold {thresholds[i]} != k={params.k}",
+        )
+        require_rows(
+            passed == (plausible >= params.k),
+            lambda i: f"deterministic decision {passed[i]} contradicts "
+            f"count {plausible[i]} vs k={params.k}",
+        )
 
     if params.is_randomized and params.k >= 2:
         assert params.epsilon0 is not None

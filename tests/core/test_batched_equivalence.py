@@ -10,14 +10,16 @@ through the shared conformance checker
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.mechanism import SynthesisMechanism
+from repro.core.results import SynthesisReport
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
     batch_plausible_seed_counts,
     plausible_seed_count,
 )
-from repro.testing.invariants import check_batched_mechanism_parity
+from repro.testing.invariants import assert_reports_identical, check_batched_mechanism_parity
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +194,7 @@ class TestMechanismBatchEquivalence:
         # a pure function of the candidate, so re-running each batched attempt
         # through the single-record path must reproduce it exactly.
         attempts = check_batched_mechanism_parity(det_mechanism, rng, batch_size=50)
-        assert len(attempts) == 50
+        assert attempts.num_attempts == 50
 
     def test_run_attempts_batched_counts(self, det_mechanism, rng):
         report = det_mechanism.run_attempts_batched(70, rng, batch_size=32)
@@ -211,6 +213,33 @@ class TestMechanismBatchEquivalence:
         report = det_mechanism.generate(15, rng, batch_size=64)
         assert report.num_released == 15
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        target=st.integers(0, 30),
+        limit=st.integers(1, 80),
+        batch_size=st.integers(2, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generate_is_the_released_prefix_of_fixed_budget_batches(
+        self, det_mechanism, target, limit, batch_size, seed
+    ):
+        # Until-N truncates the same stream of blocks a fixed budget would
+        # propose, at the Nth release: no block boundary may shift it.
+        generated = det_mechanism.generate(
+            target, np.random.default_rng(seed), max_attempts=limit, batch_size=batch_size
+        )
+        budget = det_mechanism.run_attempts_batched(
+            limit, np.random.default_rng(seed), batch_size
+        )
+        expected = SynthesisReport.merged(
+            budget.schema, [budget], stop_after_released=target
+        )
+        assert_reports_identical(expected, generated)
+        assert generated.num_attempts == expected.num_attempts
+        assert generated.num_released == expected.num_released == min(
+            target, budget.num_released
+        )
+
     def test_generate_batched_respects_max_attempts(self, unnoised_model, acs_splits, rng):
         params = PlausibleDeniabilityParams(k=len(acs_splits.seeds), gamma=4.0)
         mechanism = SynthesisMechanism(unnoised_model, acs_splits.seeds, params)
@@ -222,12 +251,10 @@ class TestMechanismBatchEquivalence:
         params = PlausibleDeniabilityParams(k=20, gamma=4.0, epsilon0=1.0)
         mechanism = SynthesisMechanism(unnoised_model, acs_splits.seeds, params)
         attempts = mechanism.propose_batch(40, rng)
-        thresholds = {attempt.test.threshold for attempt in attempts}
-        assert len(thresholds) > 1  # one Laplace draw per candidate
-        for attempt in attempts:
-            assert attempt.test.passed == (
-                attempt.test.plausible_seeds >= attempt.test.threshold
-            )
+        assert len(set(attempts["thresholds"].tolist())) > 1  # one Laplace draw each
+        assert np.array_equal(
+            attempts["passed"], attempts["plausible_seeds"] >= attempts["thresholds"]
+        )
 
     def test_propose_batch_with_early_termination_knobs(
         self, unnoised_model, acs_splits, rng
@@ -236,11 +263,10 @@ class TestMechanismBatchEquivalence:
             k=10, gamma=4.0, max_plausible=10, max_check_plausible=500
         )
         mechanism = SynthesisMechanism(unnoised_model, acs_splits.seeds, params)
-        for attempt in mechanism.propose_batch(30, rng):
-            assert attempt.test.records_checked <= 500
-            assert attempt.test.plausible_seeds <= 10
-            if attempt.released:
-                assert attempt.test.plausible_seeds >= 10
+        attempts = mechanism.propose_batch(30, rng)
+        assert np.all(attempts["records_checked"] <= 500)
+        assert np.all(attempts["plausible_seeds"] <= 10)
+        assert np.all(attempts["plausible_seeds"][attempts["passed"]] >= 10)
 
     def test_propose_batch_validates_batch_size(self, det_mechanism, rng):
         with pytest.raises(ValueError):

@@ -74,8 +74,21 @@ class TestSerialEngine:
             report = engine.generate(10, base_seed=3, max_attempts=5000)
         assert report.num_released == 10
         # Truncation at the Nth release: the final recorded attempt is it.
-        assert report.attempts[-1].released
+        assert report["passed"][-1]
         assert report.num_attempts <= 2 * engine.chunk_size
+
+    def test_retained_release_owns_only_its_rows(self, unnoised_model, acs_splits, params):
+        # A 16-row release cut from a 512-attempt chunk must not keep the
+        # whole chunk alive: the service holds many releases in memory.
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=512
+        ) as engine:
+            report = engine.generate(16, base_seed=4)
+        assert report.num_released == 16
+        assert report.num_attempts < 512
+        for name, column in report.to_arrays().items():
+            assert len(column) == report.num_attempts, name
+            assert column.base is None or column.base.nbytes == column.nbytes, name
 
     def test_generate_respects_attempt_budget(self, unnoised_model, acs_splits):
         # k equal to the whole seed split: a candidate passes only if every
@@ -317,6 +330,40 @@ class TestCheckpointing:
         ) as engine:
             with pytest.raises(RunStoreCorruptionError, match="chunk_00000001"):
                 engine.run_attempts(48, base_seed=5, run_id="corrupt")
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            pytest.param(
+                lambda arrays: {**arrays, "passed": np.append(arrays["passed"], True)},
+                id="overlong-column",
+            ),
+            pytest.param(
+                lambda arrays: {k: v for k, v in arrays.items() if k != "passed"},
+                id="missing-column",
+            ),
+            pytest.param(
+                lambda arrays: {**arrays, "seed_indices": arrays["seed_indices"][:-1]},
+                id="short-column",
+            ),
+        ],
+    )
+    def test_malformed_chunk_columns_fail_loudly_on_resume(
+        self, unnoised_model, acs_splits, params, tmp_path, tamper
+    ):
+        # A well-formed archive whose columns disagree must not resume: an
+        # overlong pass mask would silently change the released count.
+        store = RunStore(tmp_path / "store")
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=16, run_store=store
+        ) as engine:
+            engine.run_attempts(64, base_seed=5, run_id="malformed")
+        store.save_chunk("malformed", 1, tamper(store.load_chunks("malformed")[1]))
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=16, run_store=store
+        ) as engine:
+            with pytest.raises(RunStoreCorruptionError, match="chunk_00000001"):
+                engine.run_attempts(64, base_seed=5, run_id="malformed")
 
     def test_partial_final_chunk_write_is_ignored(
         self, unnoised_model, acs_splits, params, tmp_path

@@ -198,7 +198,8 @@ class TestDeterministicTest:
         results = DeterministicPrivacyTest(params).results_from_counts(
             np.array([2, 3, 9]), np.array([0, 1, 1]), np.array([10, 10, 10]), rng
         )
-        assert [result.passed for result in results] == [False, True, True]
+        assert results["passed"].tolist() == [False, True, True]
+        assert results["thresholds"].tolist() == [3.0, 3.0, 3.0]
         assert rng.random() == np.random.default_rng(5).random()
 
 
@@ -245,8 +246,8 @@ class TestRandomizedTest:
         )
         reference = np.random.default_rng(17)
         expected = params.k + laplace_noise(2.0, reference, size=5)
-        assert [result.threshold for result in results] == expected.tolist()
-        assert [result.passed for result in results] == (counts >= expected).tolist()
+        assert results["thresholds"].tolist() == expected.tolist()
+        assert results["passed"].tolist() == (counts >= expected).tolist()
         assert rng.random() == reference.random()
 
     def test_run_batch_draws_thresholds_after_the_counts(self, rng):
@@ -264,7 +265,9 @@ class TestRandomizedTest:
         from_counts = test.results_from_counts(
             counts, partitions, checked, np.random.default_rng(3), saturated=saturated
         )
-        assert batched == from_counts
+        assert list(batched) == list(from_counts)
+        for name in batched:
+            assert np.array_equal(batched[name], from_counts[name]), name
 
 
 class TestFactory:

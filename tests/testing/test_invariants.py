@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.results import SynthesisAttempt, SynthesisReport
+from repro.core.results import SynthesisReport
 from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
@@ -33,14 +33,10 @@ def tiny_fit():
 
 def _mutated_report(report: SynthesisReport) -> SynthesisReport:
     """A copy of ``report`` with one candidate value flipped."""
-    attempts = list(report.attempts)
-    victim = attempts[0]
-    candidate = victim.candidate.copy()
-    candidate[0] = (candidate[0] + 1) % 2
-    attempts[0] = SynthesisAttempt(
-        seed_index=victim.seed_index, candidate=candidate, test=victim.test
-    )
-    return SynthesisReport(schema=report.schema, attempts=attempts)
+    columns = report.to_arrays()
+    candidates = columns["candidates"].copy()
+    candidates[0, 0] = (candidates[0, 0] + 1) % 2
+    return SynthesisReport(report.schema, {**columns, "candidates": candidates})
 
 
 class TestReportComparison:
@@ -50,9 +46,7 @@ class TestReportComparison:
             16, np.random.default_rng(0), batch_size=scenario.batch_size
         )
         assert_reports_identical(report, report)
-        assert report_accounting(report)["passed"] == [
-            attempt.released for attempt in report.attempts
-        ]
+        assert sum(report_accounting(report)["passed"]) == report.num_released
 
     def test_single_flipped_cell_detected(self, tiny_fit):
         report = tiny_fit.pipeline.mechanism.run_attempts(
@@ -146,7 +140,7 @@ class TestBatchedParityChecker:
         attempts = check_batched_mechanism_parity(
             tiny_fit.pipeline.mechanism, np.random.default_rng(3), batch_size=20
         )
-        assert len(attempts) == 20
+        assert attempts.num_attempts == 20
 
     def test_limited_scan_counts_are_not_compared(self):
         # Under max_check_plausible each path draws its own random scan
@@ -194,7 +188,7 @@ class TestBatchedParityChecker:
         attempts = check_batched_mechanism_parity(
             mechanism, np.random.default_rng(3), batch_size=12
         )
-        assert len(attempts) == 12
+        assert attempts.num_attempts == 12
         assert mechanism._match_index is None
 
     def test_broken_dense_scan_counts_detected(self, monkeypatch):
@@ -204,10 +198,8 @@ class TestBatchedParityChecker:
         original = DeterministicPrivacyTest.run_batch
 
         def off_by_one(self, seed_probabilities, probability_matrix, rng):
-            return [
-                dataclasses.replace(result, plausible_seeds=result.plausible_seeds + 1)
-                for result in original(self, seed_probabilities, probability_matrix, rng)
-            ]
+            columns = original(self, seed_probabilities, probability_matrix, rng)
+            return {**columns, "plausible_seeds": columns["plausible_seeds"] + 1}
 
         monkeypatch.setattr(DeterministicPrivacyTest, "run_batch", off_by_one)
         with pytest.raises(InvariantViolation, match="plausible count"):
@@ -228,7 +220,7 @@ class TestBatchedParityChecker:
         attempts = check_batched_mechanism_parity(
             mechanism, np.random.default_rng(5), batch_size=12
         )
-        assert any(attempt.test.count_saturated for attempt in attempts)
+        assert attempts["count_saturated"].any()
 
     def test_broken_saturation_flag_detected(self, monkeypatch):
         from repro.core.mechanism import SynthesisMechanism
@@ -240,11 +232,8 @@ class TestBatchedParityChecker:
         original = DeterministicPrivacyTest.run_batch
 
         def flipped_saturation(self, seed_probabilities, probability_matrix, rng):
-            results = original(self, seed_probabilities, probability_matrix, rng)
-            return [
-                dataclasses.replace(result, count_saturated=not result.count_saturated)
-                for result in results
-            ]
+            columns = original(self, seed_probabilities, probability_matrix, rng)
+            return {**columns, "count_saturated": ~columns["count_saturated"]}
 
         monkeypatch.setattr(DeterministicPrivacyTest, "run_batch", flipped_saturation)
         with pytest.raises(InvariantViolation, match="saturation"):
@@ -285,15 +274,19 @@ class TestAccountantConservationChecker:
 class TestTheorem1Checker:
     @staticmethod
     def _report(schema, results):
-        attempts = [
-            SynthesisAttempt(
-                seed_index=0,
-                candidate=np.zeros(len(schema), dtype=np.int64),
-                test=result,
-            )
-            for result in results
-        ]
-        return SynthesisReport(schema=schema, attempts=attempts)
+        return SynthesisReport(
+            schema,
+            {
+                "seed_indices": np.zeros(len(results), dtype=np.int64),
+                "candidates": np.zeros((len(results), len(schema)), dtype=np.int64),
+                "passed": [result.passed for result in results],
+                "plausible_seeds": [result.plausible_seeds for result in results],
+                "partition_indices": [result.partition_index for result in results],
+                "thresholds": [result.threshold for result in results],
+                "records_checked": [result.records_checked for result in results],
+                "count_saturated": [result.count_saturated for result in results],
+            },
+        )
 
     def test_real_run_passes(self, tiny_fit):
         report = tiny_fit.pipeline.mechanism.run_attempts(
