@@ -22,10 +22,11 @@ The config file is a JSON object with the privacy-test parameters (``k``,
 ``gamma``, ``epsilon0``, ``max_plausible``, ``max_check_plausible``), the
 generative-model parameters (``omega``, ``total_epsilon``), the data-split
 fractions, the synthesis ``batch_size`` (how many candidates Mechanism 1
-pushes through the vectorized batch path at once; ``null``/1 selects the
-single-record reference loop) and the parallel-engine knobs (``workers``,
-``chunk_size`` — see the README's "Scaling out" section); any omitted key
-falls back to the defaults below.
+pushes through the vectorized batch path at once; 1 is a batch of one) and
+the synthesis-engine knobs (``workers``, ``chunk_size`` — see the README's
+"Scaling out" section); any omitted key falls back to the defaults below.
+Every release runs through the same engine, so ``workers`` only changes how
+fast the rows come out, never which rows.
 
 Scaling ``k``: the privacy test releases a candidate only if at least ``k``
 seed records could plausibly have generated it, so the workable ``k`` grows
@@ -74,9 +75,9 @@ _DEFAULT_CONFIG = {
     "max_parent_cost": 300,
     "max_table_cells": None,
     "batch_size": 256,
-    # Workers of the chunk-dispatching synthesis engine; null keeps the
-    # serial single-stream path (see --workers).
-    "workers": None,
+    # Worker processes of the synthesis engine: 1 runs it in-process, more
+    # start a pool (see --workers).  The rows do not depend on it.
+    "workers": 1,
     "chunk_size": 512,
     # Crash re-executions allowed per engine chunk before a job fails
     # (supervised worker pools only; retries are bit-identical).
@@ -116,16 +117,20 @@ def build_config(options: dict, num_attributes: int) -> GenerationConfig:
             omega=omega,
             structure=structure,
         )
-    batch_size = merged["batch_size"]
-    workers = merged["workers"]
+    for key, hint in (("batch_size", "256"), ("workers", "1")):
+        if merged[key] is None:
+            raise ValueError(
+                f"config key {key!r} must be a positive integer, not null "
+                f"(use {hint}, the default)"
+            )
     return GenerationConfig(
         privacy=privacy,
         model=model,
         seed_fraction=float(merged["seed_fraction"]),
         structure_fraction=float(merged["structure_fraction"]),
         parameter_fraction=float(merged["parameter_fraction"]),
-        batch_size=int(batch_size) if batch_size is not None else None,
-        num_workers=int(workers) if workers is not None else None,
+        batch_size=int(merged["batch_size"]),
+        num_workers=int(merged["workers"]),
         chunk_size=int(merged["chunk_size"]),
         max_chunk_retries=int(merged["max_chunk_retries"]),
     )
@@ -164,6 +169,9 @@ def _command_generate(args: argparse.Namespace) -> int:
     schema = read_metadata(args.metadata)
     dataset = Dataset.from_csv(schema, args.input)
     options = json.loads(Path(args.config).read_text()) if args.config else {}
+    for key, value in (("batch_size", args.batch_size), ("workers", args.workers)):
+        if value is not None:  # the flag overrides the config file's key
+            options[key] = value
     config = build_config(options, num_attributes=len(schema))
     rng_seed = int(options.get("rng_seed", _DEFAULT_CONFIG["rng_seed"]))
     if args.run_id and not args.run_store:
@@ -174,12 +182,7 @@ def _command_generate(args: argparse.Namespace) -> int:
         dataset, config, rng=np.random.default_rng(rng_seed), run_store=run_store
     )
     pipeline.fit()
-    report = pipeline.generate(
-        num_records=args.records,
-        batch_size=args.batch_size,
-        num_workers=args.workers,
-        run_id=args.run_id,
-    )
+    report = pipeline.generate(num_records=args.records, run_id=args.run_id)
     released = report.released_dataset()
     released.to_csv(args.output)
 
@@ -234,7 +237,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     )
     app = ServiceApp(
         ModelRegistry(run_store=run_store),
-        num_workers=args.workers if args.workers is not None else 1,
+        num_workers=args.workers,
         default_budget=default_budget,
         audit_log=args.audit_log,
         audit_fsync=args.audit_fsync,
@@ -302,15 +305,14 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         help="candidates per vectorized synthesis batch "
-        "(overrides the config; 1 selects the single-record reference loop)",
+        "(overrides the config; 1 is a batch of one)",
     )
     generate.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker processes of the parallel synthesis engine (overrides "
-        "the config's 'workers'; 1 runs the chunked loop in-process, omit "
-        "for the serial single-stream path)",
+        help="worker processes of the synthesis engine (overrides the "
+        "config's 'workers', default 1 = in-process); never changes the rows",
     )
     generate.add_argument(
         "--run-store",
@@ -347,8 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="engine worker processes per pooled engine (default: in-process)",
+        default=1,
+        help="engine worker processes per pooled engine (1 = in-process)",
     )
     serve.add_argument(
         "--engines-per-model", type=int, default=1,

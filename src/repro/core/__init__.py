@@ -3,17 +3,18 @@
 * :mod:`repro.core.config` — configuration objects tying together the privacy
   test parameters and the generative-model specification;
 * :mod:`repro.core.mechanism` — Mechanism 1 (seed → candidate → privacy test →
-  release) with both the deterministic and randomized privacy tests;
+  release) with both the deterministic and randomized privacy tests; its one
+  proposal loop is ``run_attempts`` over ``propose_batch``;
 * :mod:`repro.core.results` — release bookkeeping (attempts as columns, pass
   rates);
 * :mod:`repro.core.pipeline` — the full tool: split the data, fit the DP
   generative model, generate and filter synthetics, report the privacy budget;
-* :mod:`repro.core.engine` — the chunk-dispatching parallel synthesis engine
-  (persistent shared-memory worker pool, until-N dispatch, checkpointing);
+* :mod:`repro.core.engine` — the chunk-dispatching synthesis engine that runs
+  every until-N release, in-process or on a persistent shared-memory worker
+  pool (Section 5 / Figure 5), with until-N dispatch and checkpointing; the
+  worker count never changes the rows;
 * :mod:`repro.core.run_store` — disk-backed artifact store and run
-  checkpoints shared by the pipeline, the experiments and the CLI;
-* :mod:`repro.core.parallel` — one-call parallel generation facade over the
-  engine (Section 5 / Figure 5).
+  checkpoints shared by the pipeline, the experiments and the CLI.
 """
 
 from repro.core.config import GenerationConfig
@@ -24,7 +25,6 @@ from repro.core.engine import (
     SynthesisEngine,
 )
 from repro.core.mechanism import SynthesisMechanism
-from repro.core.parallel import generate_in_parallel
 from repro.core.pipeline import SynthesisPipeline
 from repro.core.results import SynthesisReport
 from repro.core.run_store import RunStore
@@ -39,5 +39,4 @@ __all__ = [
     "SynthesisMechanism",
     "SynthesisPipeline",
     "SynthesisReport",
-    "generate_in_parallel",
 ]

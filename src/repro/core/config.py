@@ -35,14 +35,13 @@ class GenerationConfig:
         record before giving up (guards against parameter combinations where
         almost nothing passes the test).
     batch_size:
-        Number of candidates proposed per vectorized batch of Mechanism 1
-        (the default).  ``None`` or 1 selects the single-record reference
-        loop.
+        Candidates per vectorized proposal batch of Mechanism 1, a positive
+        int (1 is a batch of one).  Part of a run's RNG layout.
     num_workers:
-        Worker processes of the chunk-dispatching synthesis engine.  ``None``
-        (the default) keeps the single-stream serial path; any value >= 1
-        routes generation through :class:`~repro.core.engine.SynthesisEngine`
-        (1 = in-process chunked reference, >1 = shared-memory worker pool).
+        Worker processes of :class:`~repro.core.engine.SynthesisEngine`,
+        which runs every release: 1 (the default) runs it in-process, larger
+        values on a shared-memory worker pool.  A performance knob only: the
+        released rows are the same for every worker count.
     chunk_size:
         Attempts per dynamically dispatched engine chunk.  Part of a run's
         RNG layout: reproducing or resuming an engine run requires the same
@@ -63,8 +62,8 @@ class GenerationConfig:
     structure_fraction: float = 0.175
     parameter_fraction: float = 0.175
     max_attempts_per_release: int = 1000
-    batch_size: int | None = 256
-    num_workers: int | None = None
+    batch_size: int = 256
+    num_workers: int = 1
     chunk_size: int = 512
     max_chunk_retries: int = 2
 
@@ -76,10 +75,16 @@ class GenerationConfig:
             raise ValueError("split fractions must sum to at most 1")
         if self.max_attempts_per_release < 1:
             raise ValueError("max_attempts_per_release must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be positive when provided")
-        if self.num_workers is not None and self.num_workers < 1:
-            raise ValueError("num_workers must be positive when provided")
+        if self.batch_size is None or self.batch_size < 1:
+            raise ValueError(
+                f"batch_size must be a positive int, got {self.batch_size!r} "
+                "(1 proposes one candidate per batch)"
+            )
+        if self.num_workers is None or self.num_workers < 1:
+            raise ValueError(
+                f"num_workers must be a positive int, got {self.num_workers!r} "
+                "(1 runs the engine in-process)"
+            )
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         if self.max_chunk_retries < 0:

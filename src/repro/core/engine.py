@@ -1,15 +1,12 @@
 """Persistent shared-memory parallel synthesis engine.
 
 The paper generates millions of plausibly-deniable synthetics by running many
-tool instances in parallel (Section 5, Figure 5).  The first-generation
-``generate_in_parallel`` reproduced that with a one-shot ``pool.map``: the
-whole model and seed matrix were pickled per task, attempts were split
-statically, and a run could not stop when a global release target was
-reached.  :class:`SynthesisEngine` replaces it with a long-lived execution
-layer:
+tool instances in parallel (Section 5, Figure 5).  :class:`SynthesisEngine`
+runs every until-N release — the pipeline, the CLI, the experiments and the
+service all go through it — and is a long-lived execution layer:
 
-* **Shared memory instead of per-task pickling.**  The seed matrix — and the
-  Bayesian-network conditional tables where feasible — live in
+* **Shared memory instead of per-task pickling.**  The seed matrix and the
+  Bayesian network's conditional tables live in
   ``multiprocessing.shared_memory`` segments created once per engine; workers
   attach zero-copy read-only views at startup.  Only a small skeleton spec
   (schema, structure, array offsets) is pickled, once, when the pool starts.
@@ -26,7 +23,7 @@ layer:
   its index — never on which worker ran it or on scheduling order.  The
   merged report is the in-order concatenation of the chunk reports truncated
   at the Nth release, which makes every worker count produce the *identical*
-  release and accounting as the serial in-process run on the same chunks.
+  release and accounting as the in-process run on the same chunks.
   Chunks a speculating worker completes beyond that point are discarded
   without being recorded; like the unrecorded remainder of the final batch in
   the mechanism's until-N loop, they are i.i.d. proposals whose omission
@@ -64,9 +61,11 @@ layer:
   :meth:`SynthesisEngine.pool_health` exposes the restart and per-chunk
   retry counters next to :meth:`SynthesisEngine.workload_fingerprint`.
 
-The serial reference loop (``num_workers=1``, which runs fully in-process
-with no subprocesses or shared memory) is the equivalence oracle for the
-parallel path.
+The in-process engine (``num_workers=1``, no subprocesses or shared memory)
+runs the same chunks as the pool and is its equivalence oracle.  It differs
+only in where an until-N lane stops computing: each in-process chunk stops at
+the batch that holds the lane's remaining target, while pool workers run
+whole chunks and the parent truncates.  The merged reports are identical.
 """
 
 from __future__ import annotations
@@ -88,7 +87,8 @@ from repro.obs.profile import phase as obs_phase
 from repro.core.run_store import RunStore, RunStoreCorruptionError, dataset_fingerprint
 from repro.datasets.dataset import Dataset
 from repro.datasets.schema import Schema
-from repro.generative.base import GenerativeModel
+from repro.generative.bayesian_network import BayesianNetworkSynthesizer
+from repro.generative.parameters import ConditionalParameters
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 
 __all__ = [
@@ -236,19 +236,20 @@ def _attach_array(segment: SharedMemory, spec: _ArraySpec) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 @dataclass
 class _WorkerSpec:
-    """Everything a worker needs to rebuild its mechanism, pickled once."""
+    """Everything a worker needs to rebuild its mechanism, pickled once.
+
+    The Bayesian network's conditional tables live in shared memory; only
+    their locations and the network skeleton travel in the spec.
+    """
 
     schema_attributes: tuple
     params: PlausibleDeniabilityParams
     seed_segment: str
     seed_spec: _ArraySpec
-    # Bayesian-network fast path: tables live in shared memory.
-    table_segment: str | None = None
-    structure: object | None = None
-    omegas: tuple[int, ...] | None = None
-    tables_meta: list[tuple[int, tuple[int, ...], tuple[int, ...], _ArraySpec, _ArraySpec, _ArraySpec]] | None = None
-    # Fallback for arbitrary models: pickled once per worker (not per task).
-    fallback_model: GenerativeModel | None = None
+    table_segment: str
+    structure: object
+    omegas: tuple[int, ...]
+    tables_meta: list[tuple[int, tuple[int, ...], tuple[int, ...], _ArraySpec, _ArraySpec, _ArraySpec]]
 
 
 @dataclass(frozen=True)
@@ -327,7 +328,7 @@ class _Job:
 
     job_id: int
     chunk_size: int
-    batch_size: int | None
+    batch_size: int
     lanes: tuple[_Lane, ...]
     plan: tuple[tuple[int, int], ...] | None
     completed: frozenset[int]
@@ -380,29 +381,20 @@ def _build_worker_mechanism(spec: _WorkerSpec, segments: list[SharedMemory]) -> 
     seed_segment = _attach_segment(spec.seed_segment)
     segments.append(seed_segment)
     seeds = Dataset(schema, _attach_array(seed_segment, spec.seed_spec))
-
-    if spec.fallback_model is not None:
-        model: GenerativeModel = spec.fallback_model
-    else:
-        from repro.generative.bayesian_network import BayesianNetworkSynthesizer
-        from repro.generative.parameters import ConditionalParameters
-
-        assert spec.table_segment is not None and spec.tables_meta is not None
-        table_segment = _attach_segment(spec.table_segment)
-        segments.append(table_segment)
-        tables = []
-        for attribute_index, parents, cardinalities, table_spec, counts_spec, prior_spec in spec.tables_meta:
-            tables.append(
-                ConditionalParameters(
-                    attribute_index=attribute_index,
-                    parents=tuple(parents),
-                    parent_cardinalities=tuple(cardinalities),
-                    table=_attach_array(table_segment, table_spec),
-                    counts=_attach_array(table_segment, counts_spec),
-                    prior=_attach_array(table_segment, prior_spec),
-                )
-            )
-        model = BayesianNetworkSynthesizer(schema, spec.structure, tables, spec.omegas)
+    table_segment = _attach_segment(spec.table_segment)
+    segments.append(table_segment)
+    tables = [
+        ConditionalParameters(
+            attribute_index=attribute_index,
+            parents=tuple(parents),
+            parent_cardinalities=tuple(cardinalities),
+            table=_attach_array(table_segment, table_spec),
+            counts=_attach_array(table_segment, counts_spec),
+            prior=_attach_array(table_segment, prior_spec),
+        )
+        for attribute_index, parents, cardinalities, table_spec, counts_spec, prior_spec in spec.tables_meta
+    ]
+    model = BayesianNetworkSynthesizer(schema, spec.structure, tables, spec.omegas)
     mechanism = SynthesisMechanism(model, seeds, spec.params)
     mechanism.prepare()
     return mechanism
@@ -513,26 +505,26 @@ class SynthesisEngine:
     Parameters
     ----------
     model:
-        The fitted generative model.  Bayesian-network synthesizers have
-        their conditional tables placed in shared memory; other models are
-        pickled once per worker at pool startup.
+        The fitted Bayesian-network synthesizer; its conditional tables are
+        placed in shared memory.  Any other model raises ``TypeError``.
     seed_dataset:
         The seed split DS; its matrix is placed in shared memory.
     params:
         Plausible-deniability test parameters.
     num_workers:
-        ``1`` (default) runs every chunk in-process — the serial reference
-        path.  Larger values start that many spawn-context worker processes
-        the first time a run method is called; the pool then persists across
-        calls until :meth:`close`.
+        ``1`` (default) runs every chunk in-process.  Larger values start
+        that many spawn-context worker processes the first time a run method
+        is called; the pool then persists across calls until :meth:`close`.
+        The worker count never changes a run's output.
     chunk_size:
         Attempts per dispatched chunk.  Smaller chunks balance load better
         and tighten the until-N stopping window; larger chunks amortize
         dispatch overhead.  The chunk grid is part of a run's RNG layout, so
         reproducing or resuming a run requires the same chunk size.
     batch_size:
-        Vectorized proposal batch size used inside each chunk (``None``/1
-        selects the single-record reference loop).
+        Candidates per :meth:`~repro.core.mechanism.SynthesisMechanism.propose_batch`
+        call inside each chunk (a positive int; 1 is a batch of one).  Like
+        the chunk size it is part of a run's RNG layout.
     run_store:
         Optional :class:`~repro.core.run_store.RunStore`; run methods given a
         ``run_id`` checkpoint completed chunks there and resume from them.
@@ -558,24 +550,29 @@ class SynthesisEngine:
 
     def __init__(
         self,
-        model: GenerativeModel,
+        model: BayesianNetworkSynthesizer,
         seed_dataset: Dataset,
         params: PlausibleDeniabilityParams,
         *,
         num_workers: int = 1,
         chunk_size: int = 512,
-        batch_size: int | None = 256,
+        batch_size: int = 256,
         run_store: RunStore | None = None,
         max_chunk_retries: int = 2,
         fault_injector=None,
         event_sink=None,
     ):
+        if not isinstance(model, BayesianNetworkSynthesizer):
+            raise TypeError(
+                "SynthesisEngine runs Bayesian-network synthesizers only, "
+                f"got {type(model).__name__}"
+            )
         if num_workers < 1:
             raise ValueError("num_workers must be positive")
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be positive when provided")
+        if batch_size < 1:
+            raise ValueError("batch_size must be positive")
         if max_chunk_retries < 0:
             raise ValueError("max_chunk_retries must be non-negative")
         self._model = model
@@ -619,7 +616,7 @@ class SynthesisEngine:
 
     @property
     def num_workers(self) -> int:
-        """Number of worker processes (1 = serial in-process reference path)."""
+        """Number of worker processes (1 = every chunk runs in-process)."""
         return self._num_workers
 
     @property
@@ -628,8 +625,8 @@ class SynthesisEngine:
         return self._chunk_size
 
     @property
-    def batch_size(self) -> int | None:
-        """Vectorized proposal batch size inside each chunk (None/1 = reference loop)."""
+    def batch_size(self) -> int:
+        """Candidates per proposal batch inside each chunk."""
         return self._batch_size
 
     # ------------------------------------------------------------------ #
@@ -742,16 +739,6 @@ class SynthesisEngine:
     def _build_worker_spec(self) -> _WorkerSpec:
         seed_segment, (seed_spec,) = _pack_arrays([self._seeds.data])
         self._segments.append(seed_segment)
-        common = dict(
-            schema_attributes=tuple(self._schema.attributes),
-            params=self._params,
-            seed_segment=seed_segment.name,
-            seed_spec=seed_spec,
-        )
-        from repro.generative.bayesian_network import BayesianNetworkSynthesizer
-
-        if not isinstance(self._model, BayesianNetworkSynthesizer):
-            return _WorkerSpec(fallback_model=self._model, **common)
         arrays: list[np.ndarray] = []
         for table in self._model.tables:
             arrays.extend([table.table, table.counts, table.prior])
@@ -769,11 +756,14 @@ class SynthesisEngine:
             for index, table in enumerate(self._model.tables)
         ]
         return _WorkerSpec(
+            schema_attributes=tuple(self._schema.attributes),
+            params=self._params,
+            seed_segment=seed_segment.name,
+            seed_spec=seed_spec,
             table_segment=table_segment.name,
             structure=self._model.structure,
             omegas=self._model.omegas,
             tables_meta=tables_meta,
-            **common,
         )
 
     # ------------------------------------------------------------------ #
@@ -817,11 +807,11 @@ class SynthesisEngine:
 
         Workers coordinate through a shared released counter, so generation
         stops within about one chunk per worker of the target instead of
-        running out a static attempt budget.  ``max_attempts`` (default: 100
-        per requested record, as in the serial mechanism) still bounds the
-        run when the parameters are too strict to reach the target.  The
-        released records and the merged accounting are identical for every
-        worker count.
+        running out a static attempt budget; the in-process engine stops at
+        the proposal batch that holds the target.  ``max_attempts`` (default:
+        100 per requested record) still bounds the run when the parameters
+        are too strict to reach the target.  The released records and the
+        merged accounting are identical for every worker count.
         """
         if num_released < 0:
             raise ValueError("num_released must be non-negative")
@@ -1023,7 +1013,9 @@ class SynthesisEngine:
         # Lanes run one after the other — literally the K serial unfolded
         # requests — which is exactly what the pool path must be bit-identical
         # to (chunk content is a pure function of (lane seed, local index), so
-        # execution order never matters).
+        # execution order never matters).  A chunk stops at the batch that
+        # holds the lane's remaining target: the pool computes the whole chunk
+        # and _finalize cuts it at the same attempt, so the reports agree.
         for lane_index, lane in enumerate(job.lanes):
             released = 0
             for local_index, index in enumerate(lane_globals[lane_index]):
@@ -1035,6 +1027,11 @@ class SynthesisEngine:
                         lane.chunk_attempts(local_index, job.chunk_size),
                         chunk_rng(lane.base_seed, local_index),
                         batch_size=job.batch_size,
+                        stop_after_released=(
+                            None
+                            if lane.target_released is None
+                            else lane.target_released - released
+                        ),
                     )
                     reports[index] = report
                     self._save_checkpoint(run_id, index, report.to_arrays())
@@ -1379,7 +1376,7 @@ class SynthesisEngine:
         lifetime and ``pool_rebuilds`` every full from-scratch pool rebuild
         after a wedged-queue livelock; ``chunk_retries`` maps chunk index to
         crash re-executions for the most recent pool job; ``workers_alive``
-        is the live process count (0 on the serial path, which has no pool
+        is the live process count (0 in-process, where there is no pool
         to supervise).
         """
         return {
@@ -1407,20 +1404,13 @@ class SynthesisEngine:
         published workload.
         """
         if self._workload_digest is None:
-            from repro.generative.bayesian_network import BayesianNetworkSynthesizer
-
             digest = hashlib.sha256()
             digest.update(dataset_fingerprint(self._seeds).encode())
-            if isinstance(self._model, BayesianNetworkSynthesizer):
-                digest.update(repr(self._model.structure.parents).encode())
-                digest.update(repr(self._model.structure.order).encode())
-                digest.update(repr(self._model.omegas).encode())
-                for table in self._model.tables:
-                    digest.update(np.ascontiguousarray(table.table).tobytes())
-            else:
-                import pickle
-
-                digest.update(pickle.dumps(self._model, protocol=4))
+            digest.update(repr(self._model.structure.parents).encode())
+            digest.update(repr(self._model.structure.order).encode())
+            digest.update(repr(self._model.omegas).encode())
+            for table in self._model.tables:
+                digest.update(np.ascontiguousarray(table.table).tobytes())
             self._workload_digest = digest.hexdigest()
         return self._workload_digest
 

@@ -13,12 +13,14 @@ generating y falls into the same geometric bucket as the true seed's.  The
 mechanism asks the model for those probabilities via
 ``batch_seed_probabilities`` so that models can vectorize the computation.
 
-Besides the one-candidate-at-a-time reference loop (:meth:`propose`), the
-mechanism offers a batched path (:meth:`propose_batch` /
-:meth:`run_attempts_batched`) that pushes whole blocks of seeds through the
-model's vectorized generation and probability interfaces — the hot path for
-producing millions of records (Section 5, Figure 5).  Both paths return
-attempts as column blocks (:class:`~repro.core.results.SynthesisReport`).
+The mechanism has one proposal path: :meth:`propose_batch` pushes a block of
+seeds through the model's vectorized generation and probability interfaces,
+and :meth:`run_attempts` loops over such blocks, optionally stopping at the
+n-th release — the hot path for producing millions of records (Section 5,
+Figure 5).  Attempts come back as column blocks
+(:class:`~repro.core.results.SynthesisReport`).  The one-candidate-at-a-time
+transcription of the paper's loop survives only as a test oracle,
+:func:`repro.testing.invariants.reference_attempt`.
 """
 
 from __future__ import annotations
@@ -118,44 +120,7 @@ class SynthesisMechanism:
         return self
 
     # ------------------------------------------------------------------ #
-    # Single-candidate operation
-    # ------------------------------------------------------------------ #
-    def propose(self, rng: np.random.Generator) -> SynthesisReport:
-        """Run steps 1-3 of Mechanism 1 once; the attempt as a 1-row block."""
-        seed_index = int(rng.integers(len(self._seeds)))
-        seed = self._seeds.record(seed_index)
-        candidate = self._model.generate(seed, rng)
-        return self.evaluate_candidate(seed_index, candidate, rng)
-
-    def evaluate_candidate(
-        self,
-        seed_index: int,
-        candidate: np.ndarray,
-        rng: np.random.Generator,
-    ) -> SynthesisReport:
-        """Run the privacy test for an externally generated candidate (1-row block)."""
-        seed = self._seeds.record(seed_index)
-        seed_probability = self._model.seed_probability(seed, candidate)
-        dataset_probabilities = self._model.batch_seed_probabilities(
-            self._seeds.data, candidate
-        )
-        result = self._test(seed_probability, dataset_probabilities, rng)
-        return SynthesisReport(
-            self._seeds.schema,
-            {
-                "seed_indices": [seed_index],
-                "candidates": [candidate],
-                "passed": [result.passed],
-                "plausible_seeds": [result.plausible_seeds],
-                "partition_indices": [result.partition_index],
-                "thresholds": [result.threshold],
-                "records_checked": [result.records_checked],
-                "count_saturated": [result.count_saturated],
-            },
-        )
-
-    # ------------------------------------------------------------------ #
-    # Batched operation
+    # Proposals
     # ------------------------------------------------------------------ #
     def propose_batch(
         self, batch_size: int, rng: np.random.Generator
@@ -166,9 +131,9 @@ class SynthesisMechanism:
         through the model's vectorized batch interfaces
         (:meth:`~repro.generative.base.GenerativeModel.generate_batch` /
         :meth:`~repro.generative.base.GenerativeModel.batch_probability_matrix`),
-        so the per-candidate Python overhead of :meth:`propose` is amortized
-        over the batch.  Each candidate's release decision is still
-        independent, exactly as in the sequential loop.  The kernels' arrays
+        so the per-candidate Python overhead is amortized over the batch.
+        Each candidate's release decision is still independent, exactly as in
+        the paper's one-candidate loop.  The kernels' arrays
         become the block's columns as they are.
         """
         if batch_size < 1:
@@ -271,75 +236,40 @@ class SynthesisMechanism:
         saturated = np.zeros(num_candidates, dtype=bool)
         return counts, seed_partitions, checked, saturated
 
-    def run_attempts_batched(
-        self,
-        num_attempts: int,
-        rng: np.random.Generator,
-        batch_size: int = 256,
-    ) -> SynthesisReport:
-        """Propose exactly ``num_attempts`` candidates in vectorized batches."""
-        if num_attempts < 0:
-            raise ValueError("num_attempts must be non-negative")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        report = SynthesisReport(self._seeds.schema)
-        remaining = num_attempts
-        while remaining > 0:
-            size = min(batch_size, remaining)
-            report.record(self.propose_batch(size, rng))
-            remaining -= size
-        return report
-
-    def generate(
-        self,
-        num_released: int,
-        rng: np.random.Generator,
-        max_attempts: int | None = None,
-        batch_size: int | None = None,
-    ) -> SynthesisReport:
-        """Propose candidates until ``num_released`` records pass the test.
-
-        ``max_attempts`` bounds the total number of proposals (default: 100
-        attempts per requested record); the report may therefore contain fewer
-        released records than requested when the privacy parameters are
-        strict.  With ``batch_size`` set, candidates are proposed through the
-        vectorized batch path; the final block is truncated at the Nth release
-        exactly as in the reference loop (the unrecorded i.i.d. remainder of
-        the final batch introduces no bias), so the released count never
-        overshoots — every release costs privacy budget.
-        """
-        if num_released < 0:
-            raise ValueError("num_released must be non-negative")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be positive when provided")
-        limit = max_attempts if max_attempts is not None else 100 * max(1, num_released)
-        report = SynthesisReport(self._seeds.schema)
-        if batch_size is None or batch_size == 1:
-            while report.num_released < num_released and report.num_attempts < limit:
-                report.record(self.propose(rng))
-            return report
-        while report.num_released < num_released and report.num_attempts < limit:
-            size = min(batch_size, limit - report.num_attempts)
-            block = self.propose_batch(size, rng)
-            report.record(block.until_released(num_released - report.num_released))
-        return report
-
     def run_attempts(
         self,
         num_attempts: int,
         rng: np.random.Generator,
-        batch_size: int | None = None,
+        batch_size: int = 256,
+        stop_after_released: int | None = None,
     ) -> SynthesisReport:
-        """Propose exactly ``num_attempts`` candidates (used for pass-rate studies).
+        """Propose up to ``num_attempts`` candidates in batches of ``batch_size``.
 
-        ``batch_size`` > 1 dispatches to :meth:`run_attempts_batched`; ``None``
-        or 1 runs the single-record reference loop.
+        This is Mechanism 1's one proposal loop: every batch, including a
+        batch of one, goes through :meth:`propose_batch`.  With
+        ``stop_after_released=n`` the loop stops after the batch that holds
+        the n-th release and cuts that batch there
+        (:meth:`~repro.core.results.SynthesisReport.until_released`), so the
+        released count never overshoots — every release costs privacy budget
+        — and the unrecorded i.i.d. remainder of the final batch introduces
+        no bias.  The report may hold fewer than ``n`` releases when the
+        attempt budget runs out first.
         """
         if num_attempts < 0:
             raise ValueError("num_attempts must be non-negative")
-        if batch_size is not None and batch_size > 1:
-            return self.run_attempts_batched(num_attempts, rng, batch_size)
+        if batch_size < 1:
+            raise ValueError("batch_size must be positive")
+        if stop_after_released is not None and stop_after_released < 0:
+            raise ValueError("stop_after_released must be non-negative")
         report = SynthesisReport(self._seeds.schema)
-        for _ in range(num_attempts):
-            report.record(self.propose(rng))
+        remaining = num_attempts
+        while remaining > 0 and (
+            stop_after_released is None or report.num_released < stop_after_released
+        ):
+            size = min(batch_size, remaining)
+            block = self.propose_batch(size, rng)
+            if stop_after_released is not None:
+                block = block.until_released(stop_after_released - report.num_released)
+            report.record(block)
+            remaining -= size
         return report

@@ -7,9 +7,9 @@ pipeline:
    test subsets,
 2. fits the differentially-private Bayesian-network generative model (and the
    DP marginals baseline),
-3. runs Mechanism 1 to generate and filter synthetic records — serially, or
-   through the chunk-dispatching :class:`~repro.core.engine.SynthesisEngine`
-   when ``num_workers`` is configured,
+3. runs Mechanism 1 to generate and filter synthetic records through the
+   chunk-dispatching :class:`~repro.core.engine.SynthesisEngine` (in-process,
+   or on a worker pool when ``num_workers`` > 1; the rows are the same),
 4. tracks the privacy budget spent on model learning and reports the overall
    (ε, δ) guarantee, including the Theorem 1 guarantee of the release step.
 
@@ -238,63 +238,40 @@ class SynthesisPipeline:
         self,
         num_records: int,
         max_attempts: int | None = None,
-        batch_size: int | None = None,
-        num_workers: int | None = None,
         run_id: str | None = None,
     ) -> SynthesisReport:
         """Generate synthetics until ``num_records`` pass the privacy test.
 
-        ``batch_size`` overrides the config's batch size for this call; both
-        default to the vectorized batched path when set, and to the
-        single-record reference loop otherwise.  ``num_workers`` (or the
-        config's ``num_workers``) routes the run through the chunk-dispatching
-        :class:`~repro.core.engine.SynthesisEngine` — 1 runs the chunked
-        loop in-process, larger counts start a shared-memory worker pool for
-        the duration of the call; ``run_id`` (with an attached run store)
+        Every call runs :class:`~repro.core.engine.SynthesisEngine`'s until-N
+        release on a base seed drawn from the pipeline RNG, so repeated calls
+        draw fresh candidates while the whole pipeline stays reproducible
+        from its seed.  The config's ``num_workers`` > 1 starts a
+        shared-memory worker pool for the duration of the call and never
+        changes the released rows.  ``run_id`` (with an attached run store)
         checkpoints engine chunks so an interrupted run resumes.  Long-lived
         callers should construct a :class:`SynthesisEngine` directly so the
         pool persists across calls.
         """
         if self._mechanism is None:
             self.fit()
-        assert self._mechanism is not None
         start = time.perf_counter()
+        config = self._config
         if max_attempts is None:
-            max_attempts = self._config.max_attempts_per_release * max(1, num_records)
-        if batch_size is None:
-            batch_size = self._config.batch_size
-        if num_workers is None:
-            num_workers = self._config.num_workers
-        if num_workers is None and run_id is not None:
-            # Checkpointing is a property of the chunked engine path; honour
-            # the request with the in-process engine rather than silently
-            # running the uncheckpointed serial loop.
-            num_workers = 1
-        if num_workers is None:
-            report = self._mechanism.generate(
-                num_records, self._rng, max_attempts, batch_size=batch_size
+            max_attempts = config.max_attempts_per_release * max(1, num_records)
+        base_seed = int(self._rng.integers(2**63))
+        with SynthesisEngine(
+            self.model,
+            self.splits.seeds,
+            config.privacy,
+            num_workers=config.num_workers,
+            chunk_size=config.chunk_size,
+            batch_size=config.batch_size,
+            run_store=self._run_store,
+            max_chunk_retries=config.max_chunk_retries,
+        ) as engine:
+            report = engine.generate(
+                num_records, base_seed=base_seed, max_attempts=max_attempts, run_id=run_id
             )
-        else:
-            # The chunk streams are derived from a base seed drawn from the
-            # pipeline RNG, so repeated calls draw fresh candidates while the
-            # whole pipeline stays reproducible from its seed.
-            base_seed = int(self._rng.integers(2**63))
-            with SynthesisEngine(
-                self.model,
-                self.splits.seeds,
-                self._config.privacy,
-                num_workers=num_workers,
-                chunk_size=self._config.chunk_size,
-                batch_size=batch_size,
-                run_store=self._run_store,
-                max_chunk_retries=self._config.max_chunk_retries,
-            ) as engine:
-                report = engine.generate(
-                    num_records,
-                    base_seed=base_seed,
-                    max_attempts=max_attempts,
-                    run_id=run_id,
-                )
         self._timings.synthesis_seconds += time.perf_counter() - start
         return report
 

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.config import GenerationConfig
+from repro.core.engine import SynthesisEngine
 from repro.core.mechanism import SynthesisMechanism
 from repro.core.run_store import RunStore
 from repro.datasets.acs import load_acs
@@ -344,8 +345,11 @@ class ExperimentContext:
     def synthetic_dataset(self, variant: str = "omega=9") -> Dataset:
         """Released synthetic records for one ω variant.
 
+        Released by an in-process :class:`~repro.core.engine.SynthesisEngine`
+        on a base seed drawn from the variant's ``rng(10 + index)`` stream.
         Cached in-process and, with a run store attached, across processes
-        (content-keyed by the generation configuration and seed).
+        (content-keyed by the generation configuration, the seed and the
+        release scheme).
         """
         if variant in self._synthetics:
             return self._synthetics[variant]
@@ -359,18 +363,24 @@ class ExperimentContext:
                     "k": self.k,
                     "gamma": self.gamma,
                     "epsilon0": self.epsilon0,
+                    # How the rows were drawn; bump when the release path
+                    # changes so datasets drawn by an older path never match.
+                    "release_scheme": "engine-until-n-v1",
                 }
             )
             store_key = RunStore.artifact_key("context-synthetic", payload)
             if self.run_store.has_artifact(store_key):
                 self._synthetics[variant] = self.run_store.load_artifact(store_key)
                 return self._synthetics[variant]
-        mechanism = self.mechanism(variant)
-        report = mechanism.generate(
-            self.synthetic_records,
-            self.rng(10 + list(OMEGA_VARIANTS).index(variant)),
-            max_attempts=20 * self.synthetic_records,
-        )
+        base_seed = int(self.rng(10 + list(OMEGA_VARIANTS).index(variant)).integers(2**63))
+        with SynthesisEngine(
+            self.model(variant), self.splits.seeds, self.privacy_params()
+        ) as engine:
+            report = engine.generate(
+                self.synthetic_records,
+                base_seed=base_seed,
+                max_attempts=20 * self.synthetic_records,
+            )
         self._synthetics[variant] = report.released_dataset()
         if store_key is not None:
             self.run_store.save_artifact(store_key, self._synthetics[variant])

@@ -20,12 +20,11 @@ __all__ = ["run_performance_measurement", "run_parallel_scaling"]
 def run_performance_measurement(
     context: ExperimentContext | None = None,
     checkpoints: tuple[int, ...] = (250, 500, 1_000, 2_000),
-    batch_size: int | None = 256,
+    batch_size: int = 256,
 ) -> ExperimentResult:
     """Figure 5: cumulative time to synthesize increasing numbers of records.
 
-    Uses the vectorized batched synthesis path by default (``batch_size=None``
-    falls back to the single-record reference loop).
+    Candidates are proposed in vectorized batches of ``batch_size``.
     """
     ctx = context if context is not None else ExperimentContext()
 
@@ -69,7 +68,7 @@ def run_parallel_scaling(
     context: ExperimentContext | None = None,
     num_attempts: int = 1_000,
     worker_counts: tuple[int, ...] = (1, 2, 4),
-    batch_size: int | None = 256,
+    batch_size: int = 256,
     chunk_size: int = 128,
 ) -> ExperimentResult:
     """Throughput of the parallel synthesis engine for several worker counts.
@@ -77,9 +76,9 @@ def run_parallel_scaling(
     Each worker count uses a persistent engine whose pool is started (and
     whose workers have attached the shared-memory seed matrix and model
     tables) before timing begins, so the numbers reflect steady-state chunk
-    throughput rather than process startup.  The single-worker row is the
-    in-process serial reference; every row produces the identical release
-    set, so the speedup column is a pure scheduling measurement.
+    throughput rather than process startup.  The single-worker row runs
+    in-process; every row produces the identical release set, so the
+    speedup column is a pure scheduling measurement.
     """
     ctx = context if context is not None else ExperimentContext()
     model = ctx.model("omega=9")

@@ -6,7 +6,8 @@ in this codebase must preserve.  This package makes asserting them reusable:
 
 * :mod:`repro.testing.invariants` — checkers for engine parity, RNG
   reproducibility, accountant spend conservation, Theorem 1 bounds, and
-  bit-exact structure-learning engine equivalence;
+  bit-exact structure-learning engine equivalence, plus the scalar Mechanism 1
+  oracle (``reference_attempt`` / ``reference_propose``);
 * :mod:`repro.testing.scenarios` — a registry of diverse synthetic schema
   families (wide/narrow, skewed/uniform, high-cardinality, correlated,
   tiny-n) usable as fixtures by tests and benchmarks alike;
@@ -42,6 +43,8 @@ from repro.testing.invariants import (
     check_rng_reproducibility,
     check_structure_engine_equivalence,
     check_theorem1_bounds,
+    reference_attempt,
+    reference_propose,
     report_accounting,
 )
 from repro.testing.scenarios import (
@@ -67,6 +70,8 @@ __all__ = [
     "check_rng_reproducibility",
     "check_structure_engine_equivalence",
     "check_theorem1_bounds",
+    "reference_attempt",
+    "reference_propose",
     "report_accounting",
     "Scenario",
     "ScenarioFit",

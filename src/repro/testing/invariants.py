@@ -11,7 +11,9 @@ benchmark or future fast path can call:
   per-attempt accounting);
 * :func:`check_rng_reproducibility` — a run is a pure function of its seed;
 * :func:`check_batched_mechanism_parity` — batched Mechanism 1 decisions match
-  re-evaluating each candidate through the single-record reference path;
+  re-evaluating each candidate through the scalar oracle
+  (:func:`reference_attempt`, with :func:`reference_propose` the paper's
+  one-candidate loop step);
 * :func:`check_accountant_conservation` — the privacy ledger never
   under-reports spend under any composition mode;
 * :func:`check_theorem1_bounds` — every recorded attempt obeys the
@@ -45,6 +47,7 @@ from repro.generative.structure import (
 from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
+    make_privacy_test,
     theorem1_delta,
     theorem1_epsilon,
     theorem1_guarantee,
@@ -57,6 +60,8 @@ __all__ = [
     "check_engine_parity",
     "check_rng_reproducibility",
     "check_batched_mechanism_parity",
+    "reference_attempt",
+    "reference_propose",
     "check_accountant_conservation",
     "check_theorem1_bounds",
     "check_structure_engine_equivalence",
@@ -121,7 +126,7 @@ def check_engine_parity(
     num_released: int | None = None,
     max_attempts: int | None = None,
     chunk_size: int = 16,
-    batch_size: int | None = 8,
+    batch_size: int = 8,
     worker_counts: Sequence[int] = (2,),
     engines: Sequence[SynthesisEngine] = (),
 ) -> SynthesisReport:
@@ -210,8 +215,55 @@ def check_rng_reproducibility(
 
 
 # --------------------------------------------------------------------------- #
-# Batched Mechanism 1 vs the single-record reference path
+# Batched Mechanism 1 vs the scalar oracle
 # --------------------------------------------------------------------------- #
+def reference_attempt(
+    mechanism: SynthesisMechanism,
+    seed_index: int,
+    candidate: np.ndarray,
+    rng: np.random.Generator,
+) -> SynthesisReport:
+    """The scalar oracle: one candidate's privacy test, as a 1-row block.
+
+    Steps 3-4 of Mechanism 1 transcribed record by record: the model's
+    probabilities of generating ``candidate`` from the true seed and from
+    every seed record, then the (k, γ) test on them.  No index, no batch.
+    """
+    seeds = mechanism.seed_dataset
+    model = mechanism.model
+    seed_probability = model.seed_probability(seeds.record(seed_index), candidate)
+    dataset_probabilities = model.batch_seed_probabilities(seeds.data, candidate)
+    result = make_privacy_test(mechanism.params)(
+        seed_probability, dataset_probabilities, rng
+    )
+    return SynthesisReport(
+        seeds.schema,
+        {
+            "seed_indices": [seed_index],
+            "candidates": [candidate],
+            "passed": [result.passed],
+            "plausible_seeds": [result.plausible_seeds],
+            "partition_indices": [result.partition_index],
+            "thresholds": [result.threshold],
+            "records_checked": [result.records_checked],
+            "count_saturated": [result.count_saturated],
+        },
+    )
+
+
+def reference_propose(
+    mechanism: SynthesisMechanism, rng: np.random.Generator
+) -> SynthesisReport:
+    """One step of the paper's one-candidate loop (Mechanism 1, steps 1-4).
+
+    Samples a seed, generates a candidate from it with the model's scalar
+    ``generate`` and tests it with :func:`reference_attempt`.
+    """
+    seed_index = int(rng.integers(len(mechanism.seed_dataset)))
+    candidate = mechanism.model.generate(mechanism.seed_dataset.record(seed_index), rng)
+    return reference_attempt(mechanism, seed_index, candidate, rng)
+
+
 def check_batched_mechanism_parity(
     mechanism: SynthesisMechanism,
     rng: np.random.Generator,
@@ -220,8 +272,7 @@ def check_batched_mechanism_parity(
     """Require batched proposals to match single-record re-evaluation.
 
     Every attempt from :meth:`~repro.core.mechanism.SynthesisMechanism.propose_batch`
-    is re-run through the reference
-    :meth:`~repro.core.mechanism.SynthesisMechanism.evaluate_candidate` path.
+    is re-run through the scalar oracle :func:`reference_attempt`.
     Partition indices must always agree (a pure function of the candidate and
     its seed).  Plausible-seed counts, scanned-record counts and the
     ``count_saturated`` flag are compared unless ``max_check_plausible``
@@ -247,7 +298,7 @@ def check_batched_mechanism_parity(
     reference = SynthesisReport.merged(
         block.schema,
         [
-            mechanism.evaluate_candidate(int(seed_index), candidate, rng)
+            reference_attempt(mechanism, int(seed_index), candidate, rng)
             for seed_index, candidate in zip(batched["seed_indices"], batched["candidates"])
         ],
     ).to_arrays()

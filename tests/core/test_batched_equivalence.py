@@ -1,7 +1,8 @@
-"""Equivalence of the batched synthesis engine and the single-record reference path.
+"""Equivalence of batched Mechanism 1 and the scalar oracle.
 
-The batched Mechanism 1 must be a pure performance optimization: probability
-computations agree exactly with the per-record loop, release decisions for a
+Batching must be a pure performance optimization: probability computations
+agree exactly with the per-record oracle
+(:func:`repro.testing.invariants.reference_attempt`), release decisions for a
 given candidate are identical under the deterministic test, and the sampled
 candidates follow the same distribution.  Decision-level comparisons go
 through the shared conformance checker
@@ -19,7 +20,12 @@ from repro.privacy.plausible_deniability import (
     batch_plausible_seed_counts,
     plausible_seed_count,
 )
-from repro.testing.invariants import assert_reports_identical, check_batched_mechanism_parity
+from repro.testing.invariants import (
+    assert_reports_identical,
+    check_batched_mechanism_parity,
+    reference_propose,
+)
+from repro.testing.scenarios import get_scenario
 
 
 @pytest.fixture(scope="module")
@@ -196,40 +202,57 @@ class TestMechanismBatchEquivalence:
         attempts = check_batched_mechanism_parity(det_mechanism, rng, batch_size=50)
         assert attempts.num_attempts == 50
 
-    def test_run_attempts_batched_counts(self, det_mechanism, rng):
-        report = det_mechanism.run_attempts_batched(70, rng, batch_size=32)
+    def test_batch_of_one_decisions_match_reference_evaluation(self, rng):
+        # batch_size=1 is a batch of one through propose_batch, not a
+        # separate per-record loop.
+        fit = get_scenario("toy-correlated").fit(seed=0)
+        mechanism = SynthesisMechanism(fit.model, fit.seeds, fit.params)
+        for _ in range(20):
+            check_batched_mechanism_parity(mechanism, rng, batch_size=1)
+
+    def test_run_attempts_counts(self, det_mechanism, rng):
+        report = det_mechanism.run_attempts(70, rng, batch_size=32)
         assert report.num_attempts == 70
 
     def test_pass_rates_agree_within_noise(self, det_mechanism):
-        single = det_mechanism.run_attempts(200, np.random.default_rng(21))
-        batched = det_mechanism.run_attempts_batched(
+        rng = np.random.default_rng(21)
+        single = SynthesisReport.merged(
+            det_mechanism.seed_dataset.schema,
+            [reference_propose(det_mechanism, rng) for _ in range(200)],
+        )
+        batched = det_mechanism.run_attempts(
             200, np.random.default_rng(22), batch_size=64
         )
         pooled = (single.num_released + batched.num_released) / 400
         sigma = np.sqrt(max(pooled * (1 - pooled), 1e-4) * (1 / 200 + 1 / 200))
         assert abs(single.pass_rate - batched.pass_rate) < 5 * sigma + 1e-9
 
-    def test_generate_batched_stops_at_target(self, det_mechanism, rng):
-        report = det_mechanism.generate(15, rng, batch_size=64)
+    def test_stop_after_released_stops_at_target(self, det_mechanism, rng):
+        report = det_mechanism.run_attempts(
+            1500, rng, batch_size=64, stop_after_released=15
+        )
         assert report.num_released == 15
 
     @settings(max_examples=25, deadline=None)
     @given(
         target=st.integers(0, 30),
         limit=st.integers(1, 80),
-        batch_size=st.integers(2, 24),
+        batch_size=st.integers(1, 24),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_generate_is_the_released_prefix_of_fixed_budget_batches(
+    def test_until_n_is_the_released_prefix_of_fixed_budget_batches(
         self, det_mechanism, target, limit, batch_size, seed
     ):
         # Until-N truncates the same stream of blocks a fixed budget would
         # propose, at the Nth release: no block boundary may shift it.
-        generated = det_mechanism.generate(
-            target, np.random.default_rng(seed), max_attempts=limit, batch_size=batch_size
+        generated = det_mechanism.run_attempts(
+            limit,
+            np.random.default_rng(seed),
+            batch_size=batch_size,
+            stop_after_released=target,
         )
-        budget = det_mechanism.run_attempts_batched(
-            limit, np.random.default_rng(seed), batch_size
+        budget = det_mechanism.run_attempts(
+            limit, np.random.default_rng(seed), batch_size=batch_size
         )
         expected = SynthesisReport.merged(
             budget.schema, [budget], stop_after_released=target
@@ -240,10 +263,12 @@ class TestMechanismBatchEquivalence:
             target, budget.num_released
         )
 
-    def test_generate_batched_respects_max_attempts(self, unnoised_model, acs_splits, rng):
+    def test_stop_after_released_respects_attempt_budget(
+        self, unnoised_model, acs_splits, rng
+    ):
         params = PlausibleDeniabilityParams(k=len(acs_splits.seeds), gamma=4.0)
         mechanism = SynthesisMechanism(unnoised_model, acs_splits.seeds, params)
-        report = mechanism.generate(5, rng, max_attempts=20, batch_size=8)
+        report = mechanism.run_attempts(20, rng, batch_size=8, stop_after_released=5)
         assert report.num_attempts == 20
         assert report.num_released < 5
 

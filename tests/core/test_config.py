@@ -38,6 +38,18 @@ class TestGenerationConfig:
         with pytest.raises(ValueError):
             GenerationConfig(max_attempts_per_release=0)
 
+    def test_engine_knobs_default_to_in_process_batches(self):
+        config = GenerationConfig()
+        assert config.num_workers == 1
+        assert config.batch_size == 256
+
+    @pytest.mark.parametrize("field", ["batch_size", "num_workers"])
+    @pytest.mark.parametrize("value", [None, 0])
+    def test_engine_knobs_must_be_positive_ints(self, field, value):
+        # None no longer selects a serial or per-record path.
+        with pytest.raises(ValueError, match=f"{field} must be a positive int"):
+            GenerationConfig(**{field: value})
+
     def test_custom_components(self):
         config = GenerationConfig(
             privacy=PlausibleDeniabilityParams(k=10, gamma=2.0),

@@ -132,6 +132,71 @@ class TestSerialEngine:
         with pytest.raises(RuntimeError):
             engine.run_attempts(1)
 
+    def test_non_network_model_rejected(self, marginal_model, acs_splits, params):
+        # Workers rebuild a Bayesian network from shared-memory tables; no
+        # other model has a worker-side form.
+        with pytest.raises(TypeError, match="Bayesian-network"):
+            SynthesisEngine(marginal_model, acs_splits.seeds, params)
+
+    def test_none_batch_size_rejected(self, unnoised_model, acs_splits, params):
+        with pytest.raises(TypeError):
+            SynthesisEngine(unnoised_model, acs_splits.seeds, params, batch_size=None)
+
+
+class TestFixedBudgetRuns:
+    """``run_attempts`` on the in-process engine: Section 5's parallel tool
+    instances as one engine call with a fixed attempt budget."""
+
+    def test_single_worker_in_process(self, unnoised_model, acs_splits, params):
+        with SynthesisEngine(unnoised_model, acs_splits.seeds, params) as engine:
+            report = engine.run_attempts(12)
+            assert engine.pool_health()["workers_alive"] == 0
+        assert report.num_attempts == 12
+
+    def test_zero_attempts(self, unnoised_model, acs_splits, params):
+        with SynthesisEngine(unnoised_model, acs_splits.seeds, params) as engine:
+            assert engine.run_attempts(0).num_attempts == 0
+
+    def test_validation(self, unnoised_model, acs_splits, params):
+        with SynthesisEngine(unnoised_model, acs_splits.seeds, params) as engine:
+            with pytest.raises(ValueError):
+                engine.run_attempts(-1)
+        with pytest.raises(ValueError):
+            SynthesisEngine(unnoised_model, acs_splits.seeds, params, num_workers=0)
+
+    def test_reproducible_for_fixed_base_seed(self, unnoised_model, acs_splits, params):
+        with SynthesisEngine(unnoised_model, acs_splits.seeds, params) as engine:
+            first = engine.run_attempts(10, base_seed=3)
+            second = engine.run_attempts(10, base_seed=3)
+        assert np.array_equal(
+            first.all_candidates_dataset().data, second.all_candidates_dataset().data
+        )
+
+    def test_adjacent_base_seeds_use_distinct_streams(
+        self, unnoised_model, acs_splits, params
+    ):
+        # Chunk streams are SeedSequence children of the base seed, so
+        # adjacent base seeds never share a stream (as base_seed + chunk
+        # index would).
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=4
+        ) as engine:
+            first = engine.run_attempts(8, base_seed=0)
+            second = engine.run_attempts(8, base_seed=1)
+        assert not np.array_equal(
+            first.all_candidates_dataset().data[4:8],
+            second.all_candidates_dataset().data[0:4],
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_batched_path_runs_requested_attempts(
+        self, unnoised_model, acs_splits, params, batch_size
+    ):
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, batch_size=batch_size
+        ) as engine:
+            assert engine.run_attempts(25).num_attempts == 25
+
 
 class TestWorkerPoolParity:
     """Spawn-context multi-worker runs must match the serial reference exactly.
@@ -184,6 +249,37 @@ class TestWorkerPoolParity:
         second = pool_engine.run_attempts(20, base_seed=1)
         assert_reports_identical(first, second)
 
+    def test_in_process_lane_stops_at_the_batch_of_its_last_release(
+        self, pool_engine, unnoised_model, acs_splits, params, monkeypatch
+    ):
+        # The in-process engine computes no attempt past the proposal batch
+        # that holds the N-th release (pool workers run whole chunks and the
+        # parent cuts them), and still releases exactly what the pool does.
+        from repro.core.mechanism import SynthesisMechanism
+
+        proposed = []
+        propose_batch = SynthesisMechanism.propose_batch
+
+        def counting_propose_batch(mechanism, batch_size, rng):
+            proposed.append(batch_size)
+            return propose_batch(mechanism, batch_size, rng)
+
+        monkeypatch.setattr(SynthesisMechanism, "propose_batch", counting_propose_batch)
+        for base_seed, target in ((13, 12), (17, 5), (19, 21)):
+            proposed.clear()
+            events: list[ChunkProgress] = []
+            with SynthesisEngine(
+                unnoised_model, acs_splits.seeds, params, chunk_size=16, batch_size=8
+            ) as engine:
+                report = engine.generate(
+                    target, base_seed=base_seed, max_attempts=4000, progress=events.append
+                )
+            assert report.num_released == target
+            assert sum(event.chunk_attempts for event in events) == report.num_attempts
+            assert report.num_attempts <= sum(proposed) < report.num_attempts + 8
+            pooled = pool_engine.generate(target, base_seed=base_seed, max_attempts=4000)
+            assert_reports_identical(report, pooled, context=f"seed {base_seed}")
+
 
 class TestCheckpointing:
     def test_resume_skips_completed_chunks(
@@ -215,6 +311,30 @@ class TestCheckpointing:
                 10, base_seed=21, max_attempts=2000, run_id="resume-test"
             )
         assert _accounting(resumed) == _accounting(original)
+
+    def test_chunk_stored_cut_at_the_target_resumes_on_a_pool(
+        self, unnoised_model, acs_splits, params, tmp_path
+    ):
+        # The in-process engine stores its last chunk cut at the release
+        # target; a 2-worker pool resuming the run id adopts it as is.
+        store = RunStore(tmp_path / "store")
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params,
+            chunk_size=16, batch_size=8, run_store=store,
+        ) as engine:
+            original = engine.generate(12, base_seed=13, max_attempts=4000, run_id="cut")
+        chunks = store.load_chunks("cut")
+        assert len(chunks[max(chunks)]["passed"]) < 16
+        events = []
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params,
+            num_workers=2, chunk_size=16, batch_size=8, run_store=store,
+        ) as pool:
+            resumed = pool.generate(
+                12, base_seed=13, max_attempts=4000, run_id="cut", progress=events.append
+            )
+        assert events and all(event.from_checkpoint for event in events)
+        assert_reports_identical(original, resumed)
 
     def test_partial_resume_completes_the_run(
         self, unnoised_model, acs_splits, params, tmp_path

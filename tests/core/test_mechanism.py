@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.mechanism import SynthesisMechanism
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
+from repro.testing.invariants import reference_attempt, reference_propose
 
 
 @pytest.fixture(scope="module")
@@ -30,16 +31,18 @@ class TestConstruction:
         assert mechanism.params.k == 20
 
 
-class TestPropose:
-    def test_propose_returns_valid_attempt(self, mechanism, rng):
-        attempt = mechanism.propose(rng)
+class TestReferenceOracle:
+    """The scalar oracle of ``repro.testing`` (the paper's one-candidate loop)."""
+
+    def test_reference_propose_returns_valid_attempt(self, mechanism, rng):
+        attempt = reference_propose(mechanism, rng)
         assert attempt.num_attempts == 1
         assert 0 <= attempt["seed_indices"][0] < len(mechanism.seed_dataset)
         assert attempt["candidates"].shape == (1, 11)
         assert attempt["plausible_seeds"][0] >= 0
 
     def test_plausible_seed_count_counts_matching_records(self, mechanism, rng):
-        attempt = mechanism.propose(rng)
+        attempt = reference_propose(mechanism, rng)
         candidate = attempt["candidates"][0]
         # Recompute the plausible-seed count directly from the model.
         model = mechanism.model
@@ -56,34 +59,35 @@ class TestPropose:
         )[0]
         assert attempt["plausible_seeds"][0] == int(np.sum(partitions == seed_partition))
 
-    def test_evaluate_candidate_with_external_record(self, mechanism, rng):
+    def test_reference_attempt_with_external_record(self, mechanism, rng):
         candidate = mechanism.seed_dataset.record(0).copy()
-        attempt = mechanism.evaluate_candidate(0, candidate, rng)
+        attempt = reference_attempt(mechanism, 0, candidate, rng)
         assert attempt["seed_indices"].tolist() == [0]
         assert np.array_equal(attempt["candidates"], candidate[None, :])
 
 
-class TestGenerate:
-    def test_generate_until_target_released(self, mechanism, rng):
-        report = mechanism.generate(10, rng)
-        assert report.num_released >= 10 or report.num_attempts >= 1000
+class TestRunAttempts:
+    def test_stops_at_target_released(self, mechanism, rng):
+        report = mechanism.run_attempts(1000, rng, stop_after_released=10)
+        assert report.num_released == 10
+        assert report["passed"][-1]  # cut right after the 10th release
 
-    def test_generate_respects_max_attempts(self, unnoised_model, acs_splits, rng):
+    def test_respects_attempt_budget(self, unnoised_model, acs_splits, rng):
         # Impossible parameters: k equal to the seed-set size cannot be met by
         # a seed-dependent candidate, so the mechanism must stop at the limit.
         params = PlausibleDeniabilityParams(k=len(acs_splits.seeds), gamma=4.0)
         mechanism = SynthesisMechanism(unnoised_model, acs_splits.seeds, params)
-        report = mechanism.generate(5, rng, max_attempts=20)
+        report = mechanism.run_attempts(20, rng, stop_after_released=5)
         assert report.num_attempts == 20
         assert report.num_released < 5
 
-    def test_generate_zero_records(self, mechanism, rng):
-        report = mechanism.generate(0, rng)
+    def test_zero_target_proposes_nothing(self, mechanism, rng):
+        report = mechanism.run_attempts(100, rng, stop_after_released=0)
         assert report.num_attempts == 0
 
-    def test_generate_negative_rejected(self, mechanism, rng):
+    def test_negative_target_rejected(self, mechanism, rng):
         with pytest.raises(ValueError):
-            mechanism.generate(-1, rng)
+            mechanism.run_attempts(10, rng, stop_after_released=-1)
 
     def test_run_attempts_exact_count(self, mechanism, rng):
         report = mechanism.run_attempts(25, rng)

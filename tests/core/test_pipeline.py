@@ -1,12 +1,16 @@
 """Tests for the end-to-end synthesis pipeline."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.core.config import GenerationConfig
+from repro.core.engine import SynthesisEngine
 from repro.core.pipeline import SynthesisPipeline
 from repro.generative.builder import GenerativeModelSpec
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
+from repro.testing.invariants import assert_reports_identical
 
 
 @pytest.fixture(scope="module")
@@ -98,16 +102,41 @@ class TestPrivacyReporting:
 
 
 class TestEnginePath:
-    def test_generate_via_in_process_engine(self, fitted_pipeline):
-        report = fitted_pipeline.generate(8, num_workers=1)
-        assert report.num_released == 8
-
-    def test_config_num_workers_routes_to_engine(self, acs_dataset, monkeypatch):
+    def test_generate_equals_a_two_worker_engine_run(self, acs_dataset):
+        # The pipeline's release is the engine's until-N release on the next
+        # base seed of the pipeline RNG, whatever the worker count.
         config = GenerationConfig(
             privacy=PlausibleDeniabilityParams(k=10, gamma=4.0, epsilon0=1.0),
             model=GenerativeModelSpec(omega=9, epsilon_structure=None, epsilon_parameters=None),
-            num_workers=1,
             chunk_size=64,
+            batch_size=16,
+        )
+        rng = np.random.default_rng(2)
+        pipeline = SynthesisPipeline(acs_dataset, config, rng=rng).fit()
+        base_seed = int(copy.deepcopy(rng).integers(2**63))
+        report = pipeline.generate(12)
+        with SynthesisEngine(
+            pipeline.model,
+            pipeline.splits.seeds,
+            config.privacy,
+            num_workers=2,
+            chunk_size=64,
+            batch_size=16,
+        ) as pool:
+            pooled = pool.generate(
+                12,
+                base_seed=base_seed,
+                max_attempts=config.max_attempts_per_release * 12,
+            )
+        assert report.num_released == 12
+        assert_reports_identical(pooled, report)
+
+    def test_generate_runs_the_engine_with_the_config_knobs(self, acs_dataset, monkeypatch):
+        config = GenerationConfig(
+            privacy=PlausibleDeniabilityParams(k=10, gamma=4.0, epsilon0=1.0),
+            model=GenerativeModelSpec(omega=9, epsilon_structure=None, epsilon_parameters=None),
+            chunk_size=64,
+            batch_size=32,
         )
         pipeline = SynthesisPipeline(acs_dataset, config, rng=np.random.default_rng(2))
         calls = []
@@ -122,8 +151,10 @@ class TestEnginePath:
         monkeypatch.setattr(pipeline_module, "SynthesisEngine", _tracking)
         report = pipeline.generate(5)
         assert report.num_released == 5
-        assert calls and calls[0]["num_workers"] == 1
+        assert len(calls) == 1
+        assert calls[0]["num_workers"] == 1
         assert calls[0]["chunk_size"] == 64
+        assert calls[0]["batch_size"] == 32
 
 
 class TestRunStoreCaching:

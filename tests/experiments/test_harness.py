@@ -193,3 +193,31 @@ print("edges:", model.structure.num_edges)
         fresh_context = make()
         second = fresh_context.synthetic_dataset("omega=9")
         assert np.array_equal(first.data, second.data)
+
+    def test_synthetics_from_an_older_release_path_are_not_served(self, tmp_path):
+        # A store filled before the release-scheme marker holds datasets
+        # drawn by the removed per-record loop; plant one under that key.
+        import numpy as np
+
+        from repro.core.run_store import RunStore
+        from repro.datasets.dataset import Dataset
+
+        store = RunStore(tmp_path / "store")
+        context = ExperimentContext(
+            num_raw_records=4000, synthetic_records=40, k=10, seed=3, run_store=store
+        )
+        payload = context._artifact_payload(OMEGA_VARIANTS["omega=9"])
+        payload.update(
+            {
+                "variant": "omega=9",
+                "synthetic_records": 40,
+                "k": context.k,
+                "gamma": context.gamma,
+                "epsilon0": context.epsilon0,
+            }
+        )
+        stale = Dataset(context.dataset.schema, context.splits.seeds.data[:40])
+        store.save_artifact(RunStore.artifact_key("context-synthetic", payload), stale)
+        released = context.synthetic_dataset("omega=9")
+        assert len(released) == 40
+        assert not np.array_equal(released.data, stale.data)

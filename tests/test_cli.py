@@ -37,6 +37,18 @@ class TestBuildConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             build_config({"not_a_key": 1}, num_attributes=11)
 
+    @pytest.mark.parametrize("key,hint", [("batch_size", "256"), ("workers", "1")])
+    def test_null_engine_knob_rejected(self, key, hint):
+        # null no longer selects a serial or per-record path; the message
+        # names the integer to use instead.
+        with pytest.raises(ValueError, match=f"'{key}'.*not null.*use {hint}"):
+            build_config({key: None}, num_attributes=11)
+
+    def test_engine_knobs_default_to_one_in_process_path(self):
+        config = build_config({}, num_attributes=11)
+        assert config.num_workers == 1
+        assert config.batch_size == 256
+
     def test_removed_approximate_key_rejected(self):
         # Config files that still select the removed approximate privacy
         # test fail at the boundary instead of silently running exact.
@@ -93,6 +105,32 @@ class TestEndToEndCli:
         released = Dataset.from_csv(schema, output_path)
         assert len(released) == 20
         assert released.schema == schema
+
+    def test_worker_count_never_changes_the_release(self, tmp_path, capsys):
+        # No --workers, --workers 1 and --workers 2 run the same engine
+        # release: byte-identical CSVs and the same candidate count.
+        demo_dir = tmp_path / "demo"
+        main(["sample-data", "--output-dir", str(demo_dir), "--records", "4000", "--seed", "9"])
+        capsys.readouterr()
+        outputs = {}
+        for label, flags in (("default", []), ("1", ["--workers", "1"]), ("2", ["--workers", "2"])):
+            output_path = tmp_path / f"synthetic-{label}.csv"
+            exit_code = main(
+                [
+                    "generate",
+                    "--input", str(demo_dir / "acs.csv"),
+                    "--metadata", str(demo_dir / "metadata.json"),
+                    "--config", str(demo_dir / "config.json"),
+                    "--output", str(output_path),
+                    "--records", "60",
+                    *flags,
+                ]
+            )
+            assert exit_code == 0
+            tried = re.search(r"candidates tried:\s+(\d+)", capsys.readouterr().out)
+            outputs[label] = (output_path.read_bytes(), tried.group(1))
+        assert outputs["default"] == outputs["1"] == outputs["2"]
+        assert outputs["default"][0].count(b"\n") == 61  # header + 60 rows
 
 
 class TestServeArguments:
