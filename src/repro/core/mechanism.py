@@ -41,13 +41,14 @@ __all__ = ["SynthesisMechanism"]
 
 
 class _SeedMatchIndex:
-    """Sorted fixed-prefix keys of the seed dataset, one array per ω.
+    """Fixed-prefix key multiplicities of the seed dataset, one table per ω.
 
     Because Pr{y = M_ω(d)} factorizes as ``match(d, y) * q_ω(y)`` — a
     fixed-attribute agreement indicator times a per-candidate factor — the
     plausible-seed count only needs, per candidate, the *multiplicity* of its
-    fixed-prefix key among the seed records.  Sorting the seed keys once turns
-    every batch's counting into ``searchsorted`` queries, making the per-
+    fixed-prefix key among the seed records.  Each ω keeps the seed set's
+    distinct keys in ascending order with their multiplicities, so one
+    ``searchsorted`` per ω and batch answers every candidate, making the per-
     candidate cost of the privacy test (nearly) independent of the seed-set
     size instead of linear in it.
     """
@@ -56,14 +57,29 @@ class _SeedMatchIndex:
         # Ascending ω (longest fixed prefix first), multiplicity preserved so
         # a non-uniform ω tuple keeps its weighting in the suffix sums.
         self.omegas: tuple[int, ...] = tuple(sorted(model.omegas))
-        self.sorted_keys: dict[int, np.ndarray] = {}
+        num_attributes = len(model.schema)
+        #: Rows of ``candidate_factor_suffix_products`` holding q_ω, per ω.
+        self.factor_rows = np.array([num_attributes - omega for omega in self.omegas])
+        self.keys: dict[int, np.ndarray] = {}
+        self.counts: dict[int, np.ndarray] = {}
         self.supported = True
         for omega in sorted(set(self.omegas)):
             keys = model.fixed_prefix_keys(seed_data, omega)
             if keys is None:
                 self.supported = False
                 return
-            self.sorted_keys[omega] = np.sort(keys)
+            distinct, counts = np.unique(keys, return_counts=True)
+            # Keys stay below 2**62, so a trailing int64-max sentinel with
+            # multiplicity 0 is where every key above the largest seed key
+            # lands, and the lookup needs no bounds check.
+            self.keys[omega] = np.append(distinct, np.iinfo(np.int64).max)
+            self.counts[omega] = np.append(counts, 0)
+
+    def multiplicities(self, omega: int, keys: np.ndarray) -> np.ndarray:
+        """Number of seed records whose ω fixed-prefix key equals each of ``keys``."""
+        sorted_keys = self.keys[omega]
+        positions = np.searchsorted(sorted_keys, keys)
+        return np.where(sorted_keys[positions] == keys, self.counts[omega][positions], 0)
 
 
 class SynthesisMechanism:
@@ -104,12 +120,13 @@ class SynthesisMechanism:
         return self._params
 
     def prepare(self) -> "SynthesisMechanism":
-        """Build the sorted prefix-key match index eagerly.
+        """Build the prefix-key match index eagerly.
 
         The index is otherwise built lazily on the first batched proposal;
         long-lived engine workers call this once at startup so the one-off
-        sort cost never lands inside a timed or dispatched chunk.  A no-op
-        for models without the match-structure interface.
+        sort cost never lands inside a timed or dispatched chunk (the model's
+        own lookup tables are derived when it is constructed or unpickled).
+        A no-op for models without the match-structure interface.
         """
         if self._match_index is None and (
             hasattr(self._model, "fixed_prefix_keys")
@@ -202,33 +219,37 @@ class SynthesisMechanism:
         omegas = index.omegas
         num_omegas = len(omegas)
         num_candidates = candidates.shape[0]
-        num_attributes = len(self._seeds.schema)
         suffix_products = self._model.candidate_factor_suffix_products(candidates)
-        factors = suffix_products[[num_attributes - omega for omega in omegas]]
+        factors = suffix_products[index.factor_rows]
         # class_probability[j] = Pr of a record whose longest matching prefix
         # is fixed(ω_j): it matches every looser prefix too, so its ω-averaged
         # probability is the suffix sum of the candidate factors.
         class_probabilities = np.cumsum(factors[::-1], axis=0)[::-1] / num_omegas
 
-        seed_rows = self._seeds.data[seed_indices]
-        cumulative_matches = np.empty((num_omegas, num_candidates), dtype=np.int64)
-        seed_matches = np.empty((num_omegas, num_candidates), dtype=bool)
-        for j, omega in enumerate(omegas):
-            keys = self._model.fixed_prefix_keys(candidates, omega)
-            sorted_keys = index.sorted_keys[omega]
-            left = np.searchsorted(sorted_keys, keys, side="left")
-            right = np.searchsorted(sorted_keys, keys, side="right")
-            cumulative_matches[j] = right - left
-            seed_matches[j] = self._model.fixed_prefix_keys(seed_rows, omega) == keys
+        keys = [self._model.fixed_prefix_keys(candidates, omega) for omega in omegas]
+        cumulative_matches = np.array(
+            [index.multiplicities(omega, key) for omega, key in zip(omegas, keys)]
+        )
         # Prefix nesting makes the cumulative match counts monotone in j;
         # differencing yields the exact per-class counts.
         class_counts = np.diff(cumulative_matches, axis=0, prepend=0)
 
         class_partitions = partition_numbers(class_probabilities, params.gamma)
         # The true seed always matches the prefix of its drawn ω, so its class
-        # is the first matching one.
-        seed_class = np.argmax(seed_matches, axis=0)
-        seed_partitions = class_partitions[seed_class, np.arange(num_candidates)]
+        # is the first matching one.  With one distinct ω that is class 0: the
+        # candidate copied the seed's fixed prefix.
+        if len(index.keys) == 1:
+            seed_partitions = class_partitions[0]
+        else:
+            seed_rows = self._seeds.data[seed_indices]
+            seed_matches = np.array(
+                [
+                    self._model.fixed_prefix_keys(seed_rows, omega) == key
+                    for omega, key in zip(omegas, keys)
+                ]
+            )
+            seed_class = np.argmax(seed_matches, axis=0)
+            seed_partitions = class_partitions[seed_class, np.arange(num_candidates)]
         counts = np.sum(
             class_counts * (class_partitions == seed_partitions[None, :]), axis=0
         )

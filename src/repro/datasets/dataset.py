@@ -146,20 +146,12 @@ class Dataset:
         """The data matrix with every column mapped to its structure-learning buckets.
 
         Equivalent to applying :meth:`Attribute.bucketize` column by column,
-        but in one whole-matrix pass: the constructor already validated every
-        code, so the per-column range checks are skipped and all
-        ``bucket_size`` divisions happen in a single ``floor_divide``.
+        but the constructor already validated every code, so each column is
+        gathered from its attribute's lookup table without the range checks.
         """
-        if self._data.size == 0:
-            return self._data.copy()
-        divisors = np.array(
-            [attribute.bucket_size or 1 for attribute in self._schema], dtype=np.int64
-        )
-        result = self._data // divisors[None, :]
+        result = np.empty_like(self._data)
         for col, attribute in enumerate(self._schema):
-            if attribute.bucket_map is not None:
-                mapping = np.asarray(attribute.bucket_map, dtype=np.int64)
-                result[:, col] = mapping[self._data[:, col]]
+            result[:, col] = attribute.bucket_table[self._data[:, col]]
         return result
 
     # ------------------------------------------------------------------ #

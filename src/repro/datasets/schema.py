@@ -49,6 +49,10 @@ class Attribute:
         Explicit value-index -> bucket-index mapping.  Overrides
         ``bucket_size`` when provided (used e.g. for the education attribute
         whose buckets are semantic rather than uniform).
+
+    The value-index -> bucket-index lookup table (:attr:`bucket_table`) is
+    derived once from these fields; it is not part of the pickled state and
+    is rebuilt when an attribute is unpickled.
     """
 
     name: str
@@ -77,6 +81,21 @@ class Attribute:
                     f"bucket_map of attribute {self.name!r} must use contiguous "
                     "bucket indices starting at 0"
                 )
+        if self.bucket_map is not None:
+            table = np.asarray(self.bucket_map, dtype=np.int64)
+        else:
+            table = np.arange(self.cardinality, dtype=np.int64) // (self.bucket_size or 1)
+        table.flags.writeable = False
+        object.__setattr__(self, "_bucket_table", table)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_bucket_table"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def cardinality(self) -> int:
@@ -111,6 +130,15 @@ class Attribute:
             )
         return [self.values[int(code)] for code in arr]
 
+    @property
+    def bucket_table(self) -> np.ndarray:
+        """Read-only int64 lookup table: ``bucket_table[code]`` is the code's bucket.
+
+        Indexing it directly skips :meth:`bucketize`'s range check, so only
+        code that has already validated its codes should do so.
+        """
+        return self._bucket_table
+
     def bucketize(self, codes: np.ndarray) -> np.ndarray:
         """Map encoded values to (coarser) bucket indices for structure learning."""
         arr = np.asarray(codes, dtype=np.int64)
@@ -118,12 +146,7 @@ class Attribute:
             raise ValueError(
                 f"codes out of range [0, {self.cardinality}) for attribute {self.name!r}"
             )
-        if self.bucket_map is not None:
-            mapping = np.asarray(self.bucket_map, dtype=np.int64)
-            return mapping[arr]
-        if self.bucket_size is None:
-            return arr.copy()
-        return arr // self.bucket_size
+        return self._bucket_table[arr]
 
 
 class Schema:

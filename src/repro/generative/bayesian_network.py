@@ -27,20 +27,31 @@ paper) and seed probabilities marginalize over the same uniform choice.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.datasets.schema import Schema
 from repro.generative.base import SeedBasedGenerativeModel
-from repro.generative.parameters import ConditionalParameters
+from repro.generative.parameters import ConditionalParameters, mixed_radix_strides
 from repro.generative.structure import DependencyStructure
 
 __all__ = ["BayesianNetworkSynthesizer"]
 
 
 class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
-    """Seed-based synthesizer backed by a Bayesian network."""
+    """Seed-based synthesizer backed by a Bayesian network.
+
+    The batch kernels (:meth:`generate_batch`, :meth:`fixed_prefix_keys`,
+    :meth:`candidate_factor_suffix_products`, ...) check their input matrix
+    once per call — its shape and one vectorized domain check against the
+    cardinalities — and then walk the re-sampling order without further
+    checks, over lookup arrays derived once per model: the attributes' bucket
+    tables, the tables' row CDFs and configuration strides, and the
+    fixed-prefix key weights of every ω.  The derived arrays are not part of
+    the pickled state; unpickling rebuilds them.
+    """
 
     seed_dependent = True
 
@@ -81,8 +92,54 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
                 )
         self._schema = schema
         self._structure = structure
-        self._tables = list(tables)
+        self._tables = tuple(tables)
         self._omegas = self._validate_omegas(omega, m)
+        self._compile()
+
+    def _compile(self) -> None:
+        """Derive the lookup arrays the batch kernels read (once per model)."""
+        schema = self._schema
+        cardinalities = schema.cardinalities
+        self._cardinalities = np.array(cardinalities, dtype=np.int64)
+        # Every attribute's bucket table back to back: code c of attribute a
+        # sits at _bucket_offsets[a] + c, so one gather bucketizes a matrix.
+        self._bucket_offsets = np.cumsum([0, *cardinalities[:-1]], dtype=np.int64)
+        self._bucket_lookup = np.concatenate([attribute.bucket_table for attribute in schema])
+        # One entry per σ position: the attribute, its parents' columns, its
+        # table and its bucket table.
+        self._plan = tuple(
+            (
+                attribute,
+                np.array(self._structure.parents[attribute], dtype=np.intp),
+                self._tables[attribute],
+                schema[attribute].bucket_table,
+            )
+            for attribute in self._structure.order
+        )
+        # Fixed-prefix key weights per ω: ``records @ weights`` is the
+        # mixed-radix key of the fixed attributes (zero weight elsewhere), or
+        # None when the key could overflow int64.
+        self._prefix_weights = []
+        for omega in range(len(schema) + 1):
+            fixed = list(self._fixed_attributes(omega))
+            radices = [cardinalities[attribute] for attribute in fixed]
+            if math.prod(radices) >= 2**62:
+                self._prefix_weights.append(None)
+                continue
+            weights = np.zeros(len(schema), dtype=np.int64)
+            weights[fixed] = mixed_radix_strides(radices)
+            self._prefix_weights.append(weights)
+
+    def __getstate__(self) -> dict:
+        return {
+            "_schema": self._schema,
+            "_structure": self._structure,
+            "_tables": self._tables,
+            "_omegas": self._omegas,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["_schema"], state["_structure"], state["_tables"], state["_omegas"])
 
     @staticmethod
     def _validate_omegas(omega: int | Iterable[int], num_attributes: int) -> tuple[int, ...]:
@@ -113,7 +170,7 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         return self._structure
 
     @property
-    def tables(self) -> list[ConditionalParameters]:
+    def tables(self) -> tuple[ConditionalParameters, ...]:
         """The conditional tables, one per attribute."""
         return self._tables
 
@@ -128,18 +185,29 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
     def _bucketize_record(self, record: np.ndarray) -> np.ndarray:
         return self.bucketize_records(np.asarray(record, dtype=np.int64)[None, :])[0]
 
+    def _checked_records(self, records: np.ndarray, name: str) -> np.ndarray:
+        """``records`` as an int64 matrix, after the shape and domain checks."""
+        matrix = np.asarray(records, dtype=np.int64)
+        m = len(self._schema)
+        if matrix.ndim != 2 or matrix.shape[1] != m:
+            raise ValueError(
+                f"{name} must be a 2-D array with {m} columns, got shape {matrix.shape}"
+            )
+        if matrix.size and (matrix.min() < 0 or (matrix >= self._cardinalities).any()):
+            raise ValueError(f"{name} hold codes outside their attributes' domains")
+        return matrix
+
+    def _check_omega(self, omega: int) -> None:
+        if not 0 <= omega <= len(self._schema):
+            raise ValueError(f"omega must lie in [0, {len(self._schema)}]")
+
+    def _bucketize(self, matrix: np.ndarray) -> np.ndarray:
+        """Unchecked kernel of :meth:`bucketize_records`."""
+        return self._bucket_lookup[matrix + self._bucket_offsets]
+
     def bucketize_records(self, records: np.ndarray) -> np.ndarray:
         """Column-wise bucketization of a (records x attributes) matrix."""
-        matrix = np.asarray(records, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self._schema):
-            raise ValueError(
-                f"records must be a 2-D array with {len(self._schema)} columns, "
-                f"got shape {matrix.shape}"
-            )
-        bucketized = np.empty_like(matrix)
-        for index, attribute in enumerate(self._schema):
-            bucketized[:, index] = attribute.bucketize(matrix[:, index])
-        return bucketized
+        return self._bucketize(self._checked_records(records, "records"))
 
     def _parent_values(self, bucketized_record: np.ndarray, attribute: int) -> np.ndarray | None:
         parents = self._structure.parents[attribute]
@@ -187,8 +255,7 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
             raise ValueError(
                 f"seed must have {len(self._schema)} attributes, got shape {record.shape}"
             )
-        if not 0 <= omega <= len(self._schema):
-            raise ValueError(f"omega must lie in [0, {len(self._schema)}]")
+        self._check_omega(omega)
         bucketized = self._bucketize_record(record)
         for attribute in self._resampled_attributes(omega):
             parent_values = self._parent_values(bucketized, attribute)
@@ -227,12 +294,8 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
             Optional per-row ω values; drawn uniformly from the configured ω
             set when omitted.
         """
-        matrix = np.asarray(seeds, dtype=np.int64)
+        matrix = self._checked_records(seeds, "seeds")
         m = len(self._schema)
-        if matrix.ndim != 2 or matrix.shape[1] != m:
-            raise ValueError(
-                f"seeds must be a 2-D array with {m} columns, got shape {matrix.shape}"
-            )
         num_rows = matrix.shape[0]
         if omegas is None:
             omega_draws = self.draw_omegas(rng, num_rows)
@@ -240,24 +303,26 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
             omega_draws = np.asarray(omegas, dtype=np.int64)
             if omega_draws.shape != (num_rows,):
                 raise ValueError("omegas must hold one value per seed row")
-            if omega_draws.size and (omega_draws.min() < 0 or omega_draws.max() > m):
-                raise ValueError(f"omega values must lie in [0, {m}]")
         if num_rows == 0:
             return np.empty((0, m), dtype=np.int64)
+        lowest, highest = int(omega_draws.min()), int(omega_draws.max())
+        if lowest < 0 or highest > m:
+            raise ValueError(f"omega values must lie in [0, {m}]")
 
         records = matrix.copy()
-        bucketized = self.bucketize_records(records)
-        for position, attribute in enumerate(self._structure.order):
-            # Attribute at position p is re-sampled for a row iff ω >= m - p.
-            rows = np.nonzero(omega_draws >= m - position)[0]
-            if rows.size == 0:
-                continue
-            table = self._tables[attribute]
-            parents = list(self._structure.parents[attribute])
-            configs = table.configuration_indices(bucketized[rows][:, parents])
-            values = table.sample_batch(rng, configs)
+        bucketized = self._bucketize(records)
+        # Attribute at position p is re-sampled for a row iff ω >= m - p: for
+        # no row before position m - highest, for every row from m - lowest.
+        for position in range(m - highest, m):
+            attribute, parents, table, bucket_table = self._plan[position]
+            if position >= m - lowest:
+                rows = slice(None)
+            else:
+                rows = np.nonzero(omega_draws >= m - position)[0]
+            configs = table._configuration_indices(bucketized[rows][:, parents])
+            values = table._sample_batch(rng, configs)
             records[rows, attribute] = values
-            bucketized[rows, attribute] = self._schema[attribute].bucketize(values)
+            bucketized[rows, attribute] = bucket_table[values]
         return records
 
     # ------------------------------------------------------------------ #
@@ -326,42 +391,23 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         Returns ``None`` when the key would overflow int64 (callers fall back
         to the dense probability-matrix path).
         """
-        matrix = np.asarray(records, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self._schema):
-            raise ValueError(
-                f"records must be a 2-D array with {len(self._schema)} columns, "
-                f"got shape {matrix.shape}"
-            )
-        fixed = self._fixed_attributes(omega)
-        if not fixed:
-            return np.zeros(matrix.shape[0], dtype=np.int64)
-        radix_product = 1
-        for attribute in fixed:
-            radix_product *= self._schema[attribute].cardinality
-        if radix_product >= 2**62:
+        matrix = self._checked_records(records, "records")
+        self._check_omega(omega)
+        weights = self._prefix_weights[omega]
+        if weights is None:
             return None
-        keys = np.zeros(matrix.shape[0], dtype=np.int64)
-        for attribute in fixed:
-            keys = keys * self._schema[attribute].cardinality + matrix[:, attribute]
-        return keys
+        return matrix @ weights
 
     def candidate_factors_batch(self, candidates: np.ndarray, omega: int) -> np.ndarray:
         """Vectorized q(y) over every row of ``candidates`` for a fixed ω."""
-        matrix = np.asarray(candidates, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self._schema):
-            raise ValueError(
-                f"candidates must be a 2-D array with {len(self._schema)} columns, "
-                f"got shape {matrix.shape}"
-            )
-        if not 0 <= omega <= len(self._schema):
-            raise ValueError(f"omega must lie in [0, {len(self._schema)}]")
-        bucketized = self.bucketize_records(matrix)
+        matrix = self._checked_records(candidates, "candidates")
+        self._check_omega(omega)
+        m = len(self._schema)
+        bucketized = self._bucketize(matrix)
         factors = np.ones(matrix.shape[0], dtype=np.float64)
-        for attribute in self._resampled_attributes(omega):
-            table = self._tables[attribute]
-            parents = list(self._structure.parents[attribute])
-            configs = table.configuration_indices(bucketized[:, parents])
-            factors *= table.probabilities_batch(matrix[:, attribute], configs)
+        for attribute, parents, table, _ in self._plan[m - omega :]:
+            configs = table._configuration_indices(bucketized[:, parents])
+            factors *= table._probabilities_batch(matrix[:, attribute], configs)
         return factors
 
     def candidate_factor_suffix_products(self, candidates: np.ndarray) -> np.ndarray:
@@ -372,20 +418,17 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         the per-ω callers would otherwise re-bucketize the candidate block and
         recompute the overlapping factor products once per ω.
         """
-        matrix = np.asarray(candidates, dtype=np.int64)
+        return self._suffix_products(self._checked_records(candidates, "candidates"))
+
+    def _suffix_products(self, matrix: np.ndarray) -> np.ndarray:
+        """Unchecked kernel of :meth:`candidate_factor_suffix_products`."""
         m = len(self._schema)
-        if matrix.ndim != 2 or matrix.shape[1] != m:
-            raise ValueError(
-                f"candidates must be a 2-D array with {m} columns, got shape {matrix.shape}"
-            )
-        bucketized = self.bucketize_records(matrix)
+        bucketized = self._bucketize(matrix)
         products = np.ones((m + 1, matrix.shape[0]), dtype=np.float64)
         for position in range(m - 1, -1, -1):
-            attribute = self._structure.order[position]
-            table = self._tables[attribute]
-            parents = list(self._structure.parents[attribute])
-            configs = table.configuration_indices(bucketized[:, parents])
-            products[position] = products[position + 1] * table.probabilities_batch(
+            attribute, parents, table, _ = self._plan[position]
+            configs = table._configuration_indices(bucketized[:, parents])
+            products[position] = products[position + 1] * table._probabilities_batch(
                 matrix[:, attribute], configs
             )
         return products
@@ -400,13 +443,9 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         agreement indicator times a per-candidate factor — so the whole matrix
         is a handful of broadcast comparisons and one outer product per ω.
         """
-        seed_matrix = np.asarray(seeds, dtype=np.int64)
-        cand_matrix = np.asarray(candidates, dtype=np.int64)
-        if seed_matrix.ndim != 2 or seed_matrix.shape[1] != len(self._schema):
-            raise ValueError("seeds must be a 2-D array matching the schema width")
-        if cand_matrix.ndim != 2 or cand_matrix.shape[1] != len(self._schema):
-            raise ValueError("candidates must be a 2-D array matching the schema width")
-        suffix_products = self.candidate_factor_suffix_products(cand_matrix)
+        seed_matrix = self._checked_records(seeds, "seeds")
+        cand_matrix = self._checked_records(candidates, "candidates")
+        suffix_products = self._suffix_products(cand_matrix)
         m = len(self._schema)
         total = np.zeros((cand_matrix.shape[0], seed_matrix.shape[0]), dtype=np.float64)
         for omega in self._omegas:

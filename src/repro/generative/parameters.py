@@ -16,7 +16,8 @@ Parent configurations are indexed in the parents' *bucketized* domains
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +25,28 @@ from repro.datasets.dataset import Dataset
 from repro.generative.structure import DependencyStructure
 from repro.privacy.accountant import PrivacyAccountant
 
-__all__ = ["ConditionalParameters", "ParameterLearner", "sample_dirichlet_rows"]
+__all__ = [
+    "ConditionalParameters",
+    "ParameterLearner",
+    "mixed_radix_strides",
+    "sample_dirichlet_rows",
+]
+
+
+def mixed_radix_strides(radices: Sequence[int]) -> np.ndarray:
+    """Weights ``w`` such that ``values @ w`` is the mixed-radix index of ``values``.
+
+    ``w[j]`` is the product of the radices after position ``j``, so for
+    in-range values the dot product equals the Horner form
+    ``(...(v0 * r1 + v1) * r2 + ...) * r_last + v_last`` exactly.  Raises
+    ``OverflowError`` when a weight does not fit in int64.
+    """
+    strides = []
+    stride = 1
+    for radix in reversed(radices):
+        strides.append(stride)
+        stride *= int(radix)
+    return np.array(strides[::-1], dtype=np.int64)
 
 
 def sample_dirichlet_rows(rng: np.random.Generator, alphas: np.ndarray) -> np.ndarray:
@@ -70,7 +92,8 @@ class ConditionalParameters:
         configuration index).
     table:
         Row-stochastic matrix of shape (num_configurations, cardinality):
-        ``table[c, v] = Pr{x_i = v | configuration c}``.
+        ``table[c, v] = Pr{x_i = v | configuration c}``.  Stored as the
+        validated float64 array.
     counts:
         The (possibly noisy) counts the table was estimated from; kept for
         inspection and posterior re-sampling.
@@ -79,6 +102,14 @@ class ConditionalParameters:
         The learner uses a prior proportional to the attribute's marginal so
         that rarely-observed parent configurations degrade gracefully to the
         marginal distribution instead of to a uniform one.
+
+    The batch kernels read arrays derived once from the table: the row CDFs,
+    the flattened table and the configuration strides.  They are not part of
+    the pickled state and are rebuilt on unpickling.  Each batch operation is
+    a public method that checks its input and an unchecked kernel of the same
+    name with a leading underscore, which
+    :class:`~repro.generative.bayesian_network.BayesianNetworkSynthesizer`
+    calls directly after validating whole record matrices once.
     """
 
     attribute_index: int
@@ -98,8 +129,22 @@ class ConditionalParameters:
             )
         if not np.allclose(table.sum(axis=1), 1.0, atol=1e-6):
             raise ValueError("every configuration row must sum to 1")
+        self.table = table
         if self.prior is None:
             self.prior = np.full(table.shape[1], 1.0 / table.shape[1])
+        self._strides = mixed_radix_strides(self.parent_cardinalities)
+        # A row's cumsum adds the same terms in the same order whether or not
+        # the row was gathered first, so reading rows of this CDF samples
+        # exactly what a cumsum over each batch's gathered rows would.
+        self._cdf = np.cumsum(table, axis=1)
+        self._flat = table.reshape(-1)
+
+    def __getstate__(self) -> dict:
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def num_configurations(self) -> int:
@@ -120,23 +165,26 @@ class ConditionalParameters:
             raise ValueError(
                 f"expected {len(self.parents)} parent values, got shape {values.shape}"
             )
-        index = 0
-        for value, radix in zip(values, self.parent_cardinalities):
-            if not 0 <= value < radix:
-                raise ValueError(f"parent value {value} out of range [0, {radix})")
-            index = index * radix + int(value)
-        return index
+        return int(self.configuration_indices(values[None, :])[0])
 
     def configuration_indices(self, bucketized_parent_matrix: np.ndarray) -> np.ndarray:
         """Vectorized configuration indices for a (rows x parents) matrix."""
-        if len(self.parents) == 0:
-            rows = np.asarray(bucketized_parent_matrix).shape[0]
-            return np.zeros(rows, dtype=np.int64)
         matrix = np.asarray(bucketized_parent_matrix, dtype=np.int64)
-        index = np.zeros(matrix.shape[0], dtype=np.int64)
-        for col, radix in enumerate(self.parent_cardinalities):
-            index = index * radix + matrix[:, col]
-        return index
+        if matrix.ndim != 2 or matrix.shape[1] != len(self.parents):
+            raise ValueError(
+                f"expected a (rows x {len(self.parents)}) parent matrix, "
+                f"got shape {matrix.shape}"
+            )
+        radices = np.asarray(self.parent_cardinalities, dtype=np.int64)
+        if matrix.size and (matrix.min() < 0 or (matrix >= radices).any()):
+            raise ValueError(
+                f"parent values out of range [0, {list(self.parent_cardinalities)})"
+            )
+        return self._configuration_indices(matrix)
+
+    def _configuration_indices(self, bucketized_parent_matrix: np.ndarray) -> np.ndarray:
+        """Unchecked kernel of :meth:`configuration_indices`."""
+        return bucketized_parent_matrix @ self._strides
 
     def distribution(self, bucketized_parent_values: np.ndarray | None = None) -> np.ndarray:
         """The conditional distribution for one parent configuration."""
@@ -164,6 +212,12 @@ class ConditionalParameters:
         distribution = self.distribution(bucketized_parent_values)
         return int(rng.choice(distribution.size, p=distribution))
 
+    def _check_configurations(self, configs: np.ndarray) -> None:
+        if configs.size and (configs.min() < 0 or configs.max() >= self.num_configurations):
+            raise ValueError(
+                f"configuration indices out of range [0, {self.num_configurations})"
+            )
+
     def probabilities_batch(
         self, values: np.ndarray, configuration_indices: np.ndarray
     ) -> np.ndarray:
@@ -174,11 +228,12 @@ class ConditionalParameters:
             raise ValueError("values and configuration_indices must be matching 1-D arrays")
         if vals.size and (vals.min() < 0 or vals.max() >= self.cardinality):
             raise ValueError(f"values out of range [0, {self.cardinality})")
-        if configs.size and (configs.min() < 0 or configs.max() >= self.num_configurations):
-            raise ValueError(
-                f"configuration indices out of range [0, {self.num_configurations})"
-            )
-        return self.table[configs, vals]
+        self._check_configurations(configs)
+        return self._probabilities_batch(vals, configs)
+
+    def _probabilities_batch(self, values: np.ndarray, configs: np.ndarray) -> np.ndarray:
+        """Unchecked kernel of :meth:`probabilities_batch`: ``table[configs, values]``."""
+        return self._flat[configs * self.cardinality + values]
 
     def sample_batch(
         self, rng: np.random.Generator, configuration_indices: np.ndarray
@@ -191,13 +246,12 @@ class ConditionalParameters:
         configs = np.asarray(configuration_indices, dtype=np.int64)
         if configs.ndim != 1:
             raise ValueError("configuration_indices must be a 1-D array")
-        if configs.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if configs.min() < 0 or configs.max() >= self.num_configurations:
-            raise ValueError(
-                f"configuration indices out of range [0, {self.num_configurations})"
-            )
-        cdf = np.cumsum(self.table[configs], axis=1)
+        self._check_configurations(configs)
+        return self._sample_batch(rng, configs)
+
+    def _sample_batch(self, rng: np.random.Generator, configs: np.ndarray) -> np.ndarray:
+        """Unchecked kernel of :meth:`sample_batch`."""
+        cdf = self._cdf[configs]
         # Scale the uniforms onto each row's actual cumulative total so float
         # rounding can never push a draw past the last positive-probability
         # value, and count with <= (searchsorted side="right" semantics) so a
@@ -206,8 +260,8 @@ class ConditionalParameters:
         # sample would later fail the privacy test's positive-seed-probability
         # invariant.
         uniforms = rng.random(configs.size) * cdf[:, -1]
-        values = np.sum(cdf <= uniforms[:, None], axis=1)
-        return np.minimum(values, self.cardinality - 1).astype(np.int64)
+        values = (cdf <= uniforms[:, None]).sum(axis=1, dtype=np.int64)
+        return np.minimum(values, self.cardinality - 1)
 
     def resample_table(self, rng: np.random.Generator) -> "ConditionalParameters":
         """A copy whose table is drawn from the Dirichlet posterior (Eq. 12).
@@ -302,9 +356,7 @@ class ParameterLearner:
         parent_cards = tuple(schema.bucketized_cardinalities[p] for p in parents)
         num_configs = int(np.prod(parent_cards)) if parents else 1
 
-        config_index = np.zeros(len(dataset), dtype=np.int64)
-        for parent, radix in zip(parents, parent_cards):
-            config_index = config_index * radix + bucketized[:, parent]
+        config_index = bucketized[:, list(parents)] @ mixed_radix_strides(parent_cards)
         values = dataset.data[:, attribute]
         flat = config_index * cardinality + values
         counts = np.bincount(flat, minlength=num_configs * cardinality)

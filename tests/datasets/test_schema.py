@@ -1,5 +1,7 @@
 """Tests for attribute / schema definitions and bucketization."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -83,6 +85,14 @@ class TestAttribute:
         attribute = make_attribute(4, bucket_size=2)
         with pytest.raises(ValueError):
             attribute.bucketize(np.array([4]))
+
+    def test_bucket_table_is_read_only_and_rebuilt_on_unpickling(self):
+        attribute = make_attribute(6, bucket_map=(0, 0, 1, 1, 2, 2))
+        with pytest.raises(ValueError):
+            attribute.bucket_table[0] = 2
+        clone = pickle.loads(pickle.dumps(attribute))
+        assert clone == attribute
+        assert clone.bucket_table.tolist() == [0, 0, 1, 1, 2, 2]
 
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=15))
     def test_bucketized_cardinality_consistent_with_bucketize(self, cardinality, bucket_size):

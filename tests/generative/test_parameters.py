@@ -59,8 +59,10 @@ class TestConditionalParameters:
     def test_configuration_indices_vectorized(self, learned_tables):
         label_table = learned_tables[3]
         matrix = np.array([[0, 0], [1, 2], [0, 1]])
-        expected = [label_table.configuration_index(row) for row in matrix]
+        # Mixed radix over (size: 2 buckets, color: 3 values).
+        expected = [size * 3 + color for size, color in matrix]
         assert label_table.configuration_indices(matrix).tolist() == expected
+        assert [label_table.configuration_index(row) for row in matrix] == expected
 
     def test_distribution_requires_parents_for_child(self, learned_tables):
         with pytest.raises(ValueError):
@@ -170,6 +172,33 @@ class TestConditionalParameters:
                 table=np.full((2, 2), 0.5),
                 counts=np.zeros((2, 2)),
             )
+
+    def test_list_table_is_stored_as_the_validated_array(self):
+        table = ConditionalParameters(
+            attribute_index=0,
+            parents=(),
+            parent_cardinalities=(),
+            table=[[0.25, 0.75]],
+            counts=np.zeros((1, 2)),
+        )
+        assert isinstance(table.table, np.ndarray) and table.table.dtype == np.float64
+        assert table.cardinality == 2
+        samples = table.sample_batch(np.random.default_rng(0), np.zeros(50, dtype=np.int64))
+        assert set(samples.tolist()) <= {0, 1}
+
+    def test_float32_table_is_stored_as_float64(self):
+        values32 = np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.4]], dtype=np.float32)
+        table = ConditionalParameters(
+            attribute_index=0,
+            parents=(1,),
+            parent_cardinalities=(2,),
+            table=values32,
+            counts=np.zeros((2, 3)),
+        )
+        assert table.table.dtype == np.float64
+        probabilities = table.probabilities_batch(np.array([2, 0]), np.array([0, 1]))
+        assert probabilities.dtype == np.float64
+        assert probabilities.tolist() == [float(values32[0, 2]), float(values32[1, 0])]
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):
