@@ -74,7 +74,7 @@ class Telemetry:
             "repro_queue_depth", "Requests waiting in scheduler queues."
         )
         self.folds_total = m.counter(
-            "repro_folds_total", "Engine jobs dispatched (fold windows)."
+            "repro_folds_total", "Engine jobs dispatched (one per fold)."
         )
         self.folded_lanes_total = m.counter(
             "repro_folded_lanes_total",

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -54,7 +53,6 @@ from urllib.parse import parse_qs, urlparse
 import numpy as np
 
 from repro.core.engine import (
-    MAX_FOLD_LANES,
     ChunkProgress,
     EngineBrokenError,
     FoldSpec,
@@ -253,7 +251,6 @@ class ServiceApp:
         audit_fsync: bool = False,
         journal: str | Path | None = None,
         store_max_bytes: int | None = None,
-        scheduler_max_batch: int | None = None,
         max_queue_depth: int | None = None,
         deadline_ms: float | None = None,
         dispatch_hook=None,
@@ -285,13 +282,15 @@ class ServiceApp:
         fault point forwarded to the scheduler.
 
         Scaling knobs (PR 8): ``engines_per_model`` bounds the
-        :class:`~repro.service.engine_pool.EnginePool` engines (and the
-        scheduler's dispatchers) per model, so a hot model's overflow batches
-        run on separate engines; ``worker_budget`` globally bounds reserved
-        worker processes across all engines (idle engines are reaped
-        least-recently-used-first to stay under it); ``drain_timeout`` bounds
-        how long :meth:`close` lets in-flight folded batches finish before
-        failing still-queued requests.
+        :class:`~repro.service.engine_pool.EnginePool` engines per model and
+        sets the scheduler's long-lived dispatchers per model.  Each
+        dispatcher folds at most :data:`~repro.core.engine.MAX_FOLD_LANES`
+        queued requests into one engine job; an idle dispatcher takes the
+        overflow onto a separate engine.  ``worker_budget`` globally bounds
+        reserved worker processes across all engines (idle engines are
+        reaped least-recently-used-first to stay under it);
+        ``drain_timeout`` bounds how long :meth:`close` lets in-flight
+        folded batches finish before failing still-queued requests.
 
         Observability knobs (PR 10): ``telemetry`` enables the in-process
         :class:`~repro.obs.Telemetry` hub (tracer + metrics registry +
@@ -305,10 +304,11 @@ class ServiceApp:
         self._registry = registry if registry is not None else ModelRegistry()
         self._num_workers = num_workers
         self._default_budget = default_budget or SessionBudget()
-        self._audit_path = Path(audit_log) if audit_log is not None else None
-        self._audit_fsync = audit_fsync
-        self._audit_lock = threading.Lock()
-        self._audit_handle = None  # repro: guarded-by[_audit_lock]
+        self._audit_log = (
+            BudgetJournal(audit_log, fsync=audit_fsync)
+            if audit_log is not None
+            else None
+        )
         self._journal = (
             BudgetJournal(journal, fsync=audit_fsync) if journal is not None else None
         )
@@ -343,8 +343,7 @@ class ServiceApp:
             telemetry=self._obs,
         )
         self._scheduler = RequestScheduler(
-            fold_executor=self._execute_fold,
-            max_batch=scheduler_max_batch,
+            self._execute_fold,
             max_queue_depth=max_queue_depth,
             engines_per_model=engines_per_model,
             dispatch_hook=dispatch_hook,
@@ -383,10 +382,8 @@ class ServiceApp:
             self._closed = True
         self._scheduler.close(self._drain_timeout)
         self._pool.close()
-        with self._audit_lock:
-            if self._audit_handle is not None:
-                self._audit_handle.close()
-                self._audit_handle = None
+        if self._audit_log is not None:
+            self._audit_log.close()
         if self._journal is not None:
             self._journal.close()
         if self._obs is not None:
@@ -406,26 +403,14 @@ class ServiceApp:
         return self._scheduler
 
     def _audit(self, event: dict) -> None:
-        """Append one audit line through a single persistent handle.
+        """Append one JSON-ready event to the audit log (not during replay).
 
-        The handle is opened lazily once and held (line-buffered) under
-        ``_audit_lock`` — reopening per event costs an open/close syscall
-        pair per budget operation and loses append atomicity guarantees on
-        some filesystems.  ``audit_fsync=True`` additionally forces each
-        line to stable storage for crash-safe operation.
+        The audit log is a :class:`~repro.service.journal.BudgetJournal`:
+        one lazily opened handle, a flush per line and, with
+        ``audit_fsync=True``, an ``fsync`` per line.
         """
-        if self._audit_path is None or self._replaying:
-            return
-        line = json.dumps(_jsonable(event), sort_keys=True)
-        with self._audit_lock:
-            if self._audit_handle is None:
-                self._audit_handle = self._audit_path.open(
-                    "a", encoding="utf-8", buffering=1
-                )
-            self._audit_handle.write(line + "\n")
-            self._audit_handle.flush()
-            if self._audit_fsync:
-                os.fsync(self._audit_handle.fileno())
+        if self._audit_log is not None and not self._replaying:
+            self._audit_log.append(event)
 
     def _sink(self, event: dict) -> None:
         """Fan one budget event out to the audit log and the journal.
@@ -555,16 +540,21 @@ class ServiceApp:
             event_sink=self._engine_event if self._obs is not None else None,
         )
 
-    def _fold_window(
+    def _execute_fold(
         self, model_id: str, requests: list[GenerateRequest]
     ) -> list[SynthesisReport]:
-        """Run one ≤ ``MAX_FOLD_LANES`` window as a single fused engine job.
+        """Scheduler fold executor: one drain of same-model requests → reports.
 
-        A lease whose engine turns out broken mid-fold is discarded (evicted
-        from the pool) and the window retried once on a freshly built engine
-        — every lane is deterministic in (base_seed, chunk index), so the
-        retry releases the same rows the first attempt would have.
+        The scheduler drains at most ``MAX_FOLD_LANES`` requests, so the
+        drain runs as a single fused engine job on a pooled engine.  A lease
+        whose engine turns out broken mid-fold is discarded (evicted from the
+        pool) and the fold retried once on a freshly built engine — every
+        lane is deterministic in (base_seed, chunk index), so the retry
+        releases the same rows the first attempt would have.
         """
+        with self._lock:
+            if self._closed:
+                raise ServiceError(503, "shutting_down", "the service is closing")
         specs = [
             FoldSpec(
                 num_released=request.num_rows,
@@ -648,7 +638,7 @@ class ServiceApp:
         chunk_events: list,
         profile,
     ) -> None:
-        """Spans for one finished fold window: fold → engine_job → chunks + test."""
+        """Spans for one finished fold: fold → engine_job → chunks + test."""
         obs = self._obs
         assert obs is not None
         fold_end = obs.clock.monotonic()
@@ -703,23 +693,6 @@ class ServiceApp:
                 parent_id=engine_span.span_id,
                 attrs={"test_attempts": attempts, "records_checked": checked},
             )
-
-    def _execute_fold(
-        self, model_id: str, requests: list[GenerateRequest]
-    ) -> list[SynthesisReport]:
-        """Scheduler fold executor: a batch of same-model requests → reports.
-
-        Batches larger than the engine's lane bound are windowed; each
-        window is one fused job on a pooled engine.
-        """
-        with self._lock:
-            if self._closed:
-                raise ServiceError(503, "shutting_down", "the service is closing")
-        reports: list[SynthesisReport] = []
-        for start in range(0, len(requests), MAX_FOLD_LANES):
-            window = requests[start : start + MAX_FOLD_LANES]
-            reports.extend(self._fold_window(model_id, window))
-        return reports
 
     def generate(
         self,

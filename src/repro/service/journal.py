@@ -3,11 +3,11 @@
 A service restart must not reset tenant privacy budgets — forgetting spent
 (ε, δ) is a privacy violation, not merely an availability bug.  The journal
 records every budget-relevant event (``session_created`` / ``reserve`` /
-``commit`` / ``cancel`` / ``release``) as one JSON line, using the same
-write discipline as the audit log: a single line-buffered handle held under
-a lock, one ``flush()`` per line, and optional ``fsync`` for crash-safe
-mode.  :class:`~repro.service.api.ServiceApp` replays the journal on
-startup, re-driving the events through the real
+``commit`` / ``cancel`` / ``release``) as one JSON line: a single
+line-buffered handle held under a lock, one ``flush()`` per line, and
+optional ``fsync`` for crash-safe mode.  The service's audit log is written
+through the same class.  :class:`~repro.service.api.ServiceApp` replays the
+journal on startup, re-driving the events through the real
 :class:`~repro.service.session.TenantSession` reserve → commit protocol so
 budgets, session/release counters and idempotency records are restored
 exactly; reservations that never settled (the process died between reserve

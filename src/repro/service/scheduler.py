@@ -1,17 +1,20 @@
-"""Folding request scheduler over per-model engine dispatchers.
+"""Folding request scheduler over long-lived per-model dispatchers.
 
 Concurrent ``/generate`` requests land in per-model fold queues.  Each model
-is drained by up to ``engines_per_model`` dispatcher threads: a dispatcher
-pulls every request queued for its model at that moment (bounded by
-``max_batch``), *folds* them into one fused engine job via the service's
-fold executor — which concatenates the requests' per-request chunk plans
-into a single dispatch over the shared
-:class:`~repro.core.engine.SynthesisEngine` worker pool and splits the
-merged report back per request by chunk ownership — and resolves each
-request's future individually.  Because every request carries its own base
-seed, and an engine lane is a pure function of ``(workload, base_seed,
-budget, chunk/batch size)`` through chunk-indexed RNG streams, the rows a
-request releases are independent of which fold it landed in, of the requests
+is served by ``engines_per_model`` dispatcher threads, started at the
+model's first request and stopped only by :meth:`RequestScheduler.close`.
+An idle dispatcher parks on the scheduler's condition variable; a submit
+wakes it, and it drains at most :data:`~repro.core.engine.MAX_FOLD_LANES`
+queued requests — one drain is one fused engine job.  The service's fold
+executor concatenates the drained requests' per-request chunk plans into a
+single dispatch over the shared :class:`~repro.core.engine.SynthesisEngine`
+worker pool, splits the merged report back per request by chunk ownership,
+and the dispatcher resolves each request's future individually.  Overflow
+past one drain is taken by the model's next idle dispatcher, folding onto
+its own pooled engine.  Because every request carries its own base seed,
+and an engine lane is a pure function of ``(workload, base_seed, budget,
+chunk/batch size)`` through chunk-indexed RNG streams, the rows a request
+releases are independent of which fold it landed in, of the requests
 around it, and of the dispatch order: any folding of concurrent requests is
 bit-identical to serving them one at a time (the folding conformance suite
 proves this with the shared :mod:`repro.testing.invariants` checkers).
@@ -19,14 +22,12 @@ proves this with the shared :mod:`repro.testing.invariants` checkers).
 Fairness across models is structural: each model owns its queue and its
 dispatchers, so a flood against one model never blocks another model's
 dispatch (their engines are separate resources in the
-:class:`~repro.service.engine_pool.EnginePool`).  Within a model, overflow
-beyond one batch spawns additional dispatchers up to ``engines_per_model``,
-each folding its own slice onto its own pooled engine.
+:class:`~repro.service.engine_pool.EnginePool`).
 
-The scheduler is model-agnostic — it executes whatever fold callable the
-service hands it — and reports folding statistics (fold factor, queue wait,
-cumulative engine-busy time) so throughput benchmarks can attribute wins to
-folding rather than luck.
+The scheduler's state is bounded by the number of models, not by traffic:
+it keeps fixed dispatcher threads and scalar counters (fold factor, queue
+wait, cumulative engine-busy time) that throughput benchmarks use to
+attribute wins to folding rather than luck.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+from repro.core.engine import MAX_FOLD_LANES
 from repro.core.results import SynthesisReport
 
 __all__ = [
@@ -100,13 +102,16 @@ class GenerateRequest:
 class SchedulerStats:
     """Folding counters (snapshot via :meth:`RequestScheduler.stats`).
 
-    ``fold_factor`` is the mean number of requests per dispatched fold —
-    1.0 means no folding happened, N means N requests shared each fused
-    engine job on average.  ``queue_wait_seconds`` accumulates every
-    request's admission→dispatch wait (``max_queue_wait`` is the worst
-    single wait); ``engine_busy_seconds`` accumulates wall-clock spent
-    executing folds; ``utilization`` is engine-busy time divided by
-    scheduler uptime — the average number of concurrently busy engines.
+    ``fold_factor`` is the mean number of requests per drain — 1.0 means no
+    folding happened, N means N requests shared each fused engine job on
+    average; ``max_batch`` is the largest drain, at most
+    :data:`~repro.core.engine.MAX_FOLD_LANES`.  ``queue_wait_seconds``
+    accumulates every request's admission→dispatch wait (``max_queue_wait``
+    is the worst single wait); ``engine_busy_seconds`` accumulates
+    wall-clock spent executing folds; ``utilization`` is engine-busy time
+    divided by scheduler uptime — the average number of concurrently busy
+    engines.  ``dispatchers_active`` counts the dispatchers inside a fold
+    at the snapshot; the others are parked.
 
     The privacy-test counters aggregate over every attempt of every
     completed report: ``records_checked`` is the total seed records the
@@ -119,16 +124,15 @@ class SchedulerStats:
     batches: int = 0
     max_batch: int = 0
     coalesced: int = 0  # requests that shared a fold with at least one other
-    batch_sizes: list[int] = field(default_factory=list)
     rejected: int = 0  # admission refusals (queue at max_queue_depth)
     expired: int = 0  # requests dropped at dispatch for a passed deadline
     folded_lanes: int = 0  # requests actually executed as fold lanes
     dropped_before_fold: int = 0  # drained but never folded (cancel/expiry/hook)
-    fold_factor: float = 0.0  # mean requests per dispatched fold
+    fold_factor: float = 0.0  # mean requests per drain
     queue_wait_seconds: float = 0.0  # cumulative admission->dispatch wait
     max_queue_wait: float = 0.0  # worst single admission->dispatch wait
     engine_busy_seconds: float = 0.0  # cumulative fold execution wall-clock
-    dispatchers_active: int = 0  # dispatcher threads currently draining
+    dispatchers_active: int = 0  # dispatchers currently busy in a fold
     utilization: float = 0.0  # engine_busy_seconds / scheduler uptime
     records_checked: int = 0  # seed records examined by the privacy test
     test_attempts: int = 0  # candidates privacy-tested across all reports
@@ -141,36 +145,13 @@ def privacy_test_totals(outcome) -> tuple[int, int]:
     return outcome.num_attempts, int(outcome["records_checked"].sum())
 
 
-def _serial_fold(
-    executor: Callable[[GenerateRequest], SynthesisReport],
-) -> Callable[[str, list[GenerateRequest]], list]:
-    """Adapt a per-request executor to the fold-executor interface.
-
-    Requests keep their submission order and fail independently — exactly
-    how the pre-folding dispatcher executed a drained batch.
-    """
-
-    def fold(model_id: str, requests: list[GenerateRequest]) -> list:
-        outcomes: list = []
-        for request in requests:
-            try:
-                outcomes.append(executor(request))
-            except BaseException as exc:  # surfaced on that request's future
-                outcomes.append(exc)
-        return outcomes
-
-    return fold
-
-
 class RequestScheduler:
-    """Per-model folding queues feeding up to ``engines_per_model`` dispatchers."""
+    """Per-model fold queues drained by ``engines_per_model`` dispatchers each."""
 
     def __init__(
         self,
-        executor: Callable[[GenerateRequest], SynthesisReport] | None = None,
+        fold_executor: Callable[[str, list[GenerateRequest]], Sequence],
         *,
-        fold_executor: Callable[[str, list[GenerateRequest]], Sequence] | None = None,
-        max_batch: int | None = None,
         max_queue_depth: int | None = None,
         engines_per_model: int = 1,
         dispatch_hook: Callable[[GenerateRequest], None] | None = None,
@@ -178,54 +159,49 @@ class RequestScheduler:
         autostart: bool = True,
         telemetry=None,
     ):
-        """Exactly one of ``executor`` / ``fold_executor`` runs the work.
-
-        ``executor`` runs one request at a time (the legacy interface, still
-        used by tests and simple embeddings); ``fold_executor(model_id,
-        requests)`` runs a whole same-model batch as one fused engine job and
-        returns one outcome per request — a report, or an exception instance
-        to fail just that request.  ``max_batch`` caps how many queued
-        requests one drain may fold (``None`` = fold everything pending).
-        ``max_queue_depth`` bounds admission across all models: a submit that
-        would queue more than this many undispatched requests is refused with
-        :class:`QueueFullError` (``None`` = no bound).  ``engines_per_model``
-        is the dispatcher-per-model bound — overflow past one batch runs on
-        additional dispatchers, each against its own pooled engine.
-        ``dispatch_hook`` is an optional fault-injection point called as each
-        request is picked up, *before* its deadline check (chaos tests delay
-        dispatch through it).  ``drain_timeout`` bounds how long
-        :meth:`close` waits for in-flight folds to finish before abandoning
-        them.  ``autostart=False`` leaves dispatching stopped until
-        :meth:`start` — tests use this to queue a burst deterministically and
-        observe it fold into one batch.  ``telemetry`` is an optional
-        :class:`repro.obs.Telemetry`: when present the scheduler records a
-        queue-wait span per request at dequeue, observes queue depth/wait
-        and fold-shape metrics, and counts requests dropped before folding.
+        """``fold_executor(model_id, requests)`` runs one drain of same-model
+        requests as one fused engine job and returns one outcome per request
+        — a report, or an exception instance to fail just that request.
+        A drain holds at most :data:`~repro.core.engine.MAX_FOLD_LANES`
+        requests.  ``max_queue_depth`` bounds admission across all models: a
+        submit that would queue more than this many undispatched requests is
+        refused with :class:`QueueFullError` (``None`` = no bound).
+        ``engines_per_model`` is the number of dispatchers per model — the
+        overflow past one drain runs on the next idle dispatcher, against its
+        own pooled engine.  ``dispatch_hook`` is an optional fault-injection
+        point called as each request is picked up, *before* its deadline
+        check (chaos tests delay dispatch through it).  ``drain_timeout``
+        bounds how long :meth:`close` waits for in-flight folds to finish
+        before abandoning them.  ``autostart=False`` leaves dispatching
+        stopped until :meth:`start` — tests use this to queue a burst
+        deterministically and observe it fold into one batch.  ``telemetry``
+        is an optional :class:`repro.obs.Telemetry`: when present the
+        scheduler records a queue-wait span per request at dequeue, observes
+        queue depth/wait and fold-shape metrics, and counts requests dropped
+        before folding.
         """
-        if (executor is None) == (fold_executor is None):
-            raise ValueError("provide exactly one of executor / fold_executor")
-        if max_batch is not None and max_batch < 1:
-            raise ValueError("max_batch must be positive when provided")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be positive when provided")
         if engines_per_model < 1:
             raise ValueError("engines_per_model must be positive")
         if drain_timeout < 0:
             raise ValueError("drain_timeout must be non-negative")
-        self._fold_executor = (
-            fold_executor if fold_executor is not None else _serial_fold(executor)
-        )
-        self._max_batch = max_batch
+        self._fold_executor = fold_executor
         self._max_queue_depth = max_queue_depth
         self._engines_per_model = engines_per_model
         self._dispatch_hook = dispatch_hook
         self._drain_timeout = drain_timeout
         self._obs = telemetry
-        self._stats = SchedulerStats()  # repro: guarded-by[_lock]
         self._lock = threading.Lock()
+        # Idle dispatchers of every model park here; submit and close wake
+        # them all, because a single notify may wake another model's
+        # dispatcher and strand the request.
+        self._work_ready = threading.Condition(self._lock)
+        self._stats = SchedulerStats()  # repro: guarded-by[_lock]
+        self._drained = 0  # repro: guarded-by[_lock]
+        self._busy = 0  # repro: guarded-by[_lock]
         self._queues: dict[str, deque] = {}  # repro: guarded-by[_lock]
-        self._dispatchers: dict[str, int] = {}  # repro: guarded-by[_lock]
-        self._threads: list[threading.Thread] = []  # repro: guarded-by[_lock]
+        self._dispatchers: dict[str, list[threading.Thread]] = {}  # repro: guarded-by[_lock]
         self._closed = False  # repro: guarded-by[_lock]
         self._started = False  # repro: guarded-by[_lock]
         self._started_at: float | None = None  # repro: guarded-by[_lock]
@@ -237,31 +213,31 @@ class RequestScheduler:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "RequestScheduler":
-        """Start dispatching (idempotent): spawn dispatchers for queued work."""
+        """Start dispatching (idempotent): start dispatchers for queued models."""
         with self._lock:
             if self._closed:
                 raise SchedulerStoppedError("the scheduler has been closed")
             if not self._started:
                 self._started = True
                 self._started_at = time.monotonic()
-            for model_id in self._queues:
-                self._spawn_dispatchers_locked(model_id)
+                for model_id in self._queues:
+                    self._start_dispatchers_locked(model_id)
         return self
 
     def close(self, drain_timeout: float | None = None) -> None:
         """Stop dispatching: in-flight folds drain, queued requests fail.
 
-        Dispatchers pick up no new batches once the closed flag is set, but a
-        fold already executing gets up to ``drain_timeout`` seconds (default:
-        the constructor's value) to finish and resolve its futures — the
-        pre-folding close path could fail a future whose engine work had
-        already completed.  Requests still queued after the drain fail with
-        :class:`SchedulerStoppedError`.
+        Parked dispatchers wake and exit at once.  Dispatchers pick up no new
+        batches once the closed flag is set, but a fold already executing
+        gets up to ``drain_timeout`` seconds (default: the constructor's
+        value) to finish and resolve its futures.  Requests still queued
+        after the drain fail with :class:`SchedulerStoppedError`.
         """
-        with self._lock:
+        with self._work_ready:
             already_closed = self._closed
             self._closed = True
-            threads = [thread for thread in self._threads if thread.is_alive()]
+            self._work_ready.notify_all()
+            threads = [t for group in self._dispatchers.values() for t in group]
         if not already_closed and threads:
             timeout = self._drain_timeout if drain_timeout is None else drain_timeout
             deadline = time.monotonic() + max(0.0, timeout)
@@ -304,7 +280,7 @@ class RequestScheduler:
     def submit(self, request: GenerateRequest) -> "Future[SynthesisReport]":
         """Queue a request; the future resolves to its merged report."""
         future: Future = Future()
-        with self._lock:
+        with self._work_ready:
             if self._closed:
                 raise SchedulerStoppedError("the scheduler has been closed")
             if (
@@ -321,10 +297,11 @@ class RequestScheduler:
             queue = self._queues.get(request.model_id)
             if queue is None:
                 queue = self._queues[request.model_id] = deque()
+                if self._started:
+                    self._start_dispatchers_locked(request.model_id)
             queue.append((request, future, time.monotonic()))
             depth = self._depth
-            if self._started:
-                self._spawn_dispatchers_locked(request.model_id)
+            self._work_ready.notify_all()
         if self._obs is not None:
             self._obs.queue_depth.set(depth)
         return future
@@ -338,30 +315,13 @@ class RequestScheduler:
                 if self._started_at is not None
                 else 0.0
             )
-            return SchedulerStats(
-                submitted=self._stats.submitted,
-                completed=self._stats.completed,
-                failed=self._stats.failed,
-                batches=batches,
-                max_batch=self._stats.max_batch,
-                coalesced=self._stats.coalesced,
-                batch_sizes=list(self._stats.batch_sizes),
-                rejected=self._stats.rejected,
-                expired=self._stats.expired,
-                folded_lanes=self._stats.folded_lanes,
-                dropped_before_fold=self._stats.dropped_before_fold,
-                fold_factor=(
-                    sum(self._stats.batch_sizes) / batches if batches else 0.0
-                ),
-                queue_wait_seconds=self._stats.queue_wait_seconds,
-                max_queue_wait=self._stats.max_queue_wait,
-                engine_busy_seconds=self._stats.engine_busy_seconds,
-                dispatchers_active=sum(self._dispatchers.values()),
+            return replace(
+                self._stats,
+                fold_factor=self._drained / batches if batches else 0.0,
+                dispatchers_active=self._busy,
                 utilization=(
                     self._stats.engine_busy_seconds / uptime if uptime > 0 else 0.0
                 ),
-                records_checked=self._stats.records_checked,
-                test_attempts=self._stats.test_attempts,
             )
 
     def queue_depth(self) -> int:
@@ -372,71 +332,66 @@ class RequestScheduler:
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
-    def _spawn_dispatchers_locked(self, model_id):  # repro: requires-lock[_lock]
-        """Spawn dispatchers for ``model_id``'s queue, up to the per-model cap.
-
-        One dispatcher drains a quiet model's whole queue (so a burst folds
-        into one fused job); a queue deeper than the live dispatcher count
-        spawns more, up to ``engines_per_model``, so overflow batches run
-        truly in parallel on separate pooled engines.
-        """
-        queue = self._queues.get(model_id)
-        needed = min(self._engines_per_model, len(queue) if queue else 0)
-        while self._dispatchers.get(model_id, 0) < needed:
-            self._dispatchers[model_id] = self._dispatchers.get(model_id, 0) + 1
-            thread = threading.Thread(
+    def _start_dispatchers_locked(self, model_id):  # repro: requires-lock[_lock]
+        """Start ``model_id``'s dispatchers; they live until :meth:`close`."""
+        threads = [
+            threading.Thread(
                 target=self._dispatch_model,
                 args=(model_id,),
-                name=f"repro-scheduler-{model_id}",
+                name=f"repro-scheduler-{model_id}-{index}",
                 daemon=True,
             )
-            self._threads.append(thread)
+            for index in range(self._engines_per_model)
+        ]
+        self._dispatchers[model_id] = threads
+        for thread in threads:
             thread.start()
 
     def _dispatch_model(self, model_id: str) -> None:
-        """One dispatcher: repeatedly drain a fold's worth and execute it."""
+        """One dispatcher: park until work is queued, drain a fold, run it."""
         while True:
-            with self._lock:
-                queue = self._queues.get(model_id)
-                if self._closed or not queue:
-                    self._dispatchers[model_id] -= 1
+            with self._work_ready:
+                queue = self._queues[model_id]
+                while not queue and not self._closed:
+                    self._work_ready.wait()
+                if self._closed:
                     return
-                batch = []
-                waits = []
-                while queue and (
-                    self._max_batch is None or len(batch) < self._max_batch
-                ):
-                    entry = queue.popleft()
-                    # Queue wait is measured here, at the actual dequeue —
-                    # not after the hook/deadline checks in the fold path —
-                    # so a stalled dispatch hook can't inflate it.
-                    wait = max(0.0, time.monotonic() - entry[2])
-                    waits.append(wait)
-                    batch.append(entry)
+                batch = [
+                    queue.popleft() for _ in range(min(len(queue), MAX_FOLD_LANES))
+                ]
+                # Queue wait is measured here, at the actual dequeue — not
+                # after the hook/deadline checks in the fold path — so a
+                # stalled dispatch hook can't inflate it.
+                now = time.monotonic()
+                waits = [max(0.0, now - enqueued_at) for _, _, enqueued_at in batch]
+                for wait in waits:
                     self._stats.queue_wait_seconds += wait
-                    self._stats.max_queue_wait = max(
-                        self._stats.max_queue_wait, wait
-                    )
+                    self._stats.max_queue_wait = max(self._stats.max_queue_wait, wait)
                 self._depth -= len(batch)
                 depth = self._depth
+                self._drained += len(batch)
                 self._stats.batches += 1
                 self._stats.max_batch = max(self._stats.max_batch, len(batch))
-                self._stats.batch_sizes.append(len(batch))
                 if len(batch) > 1:
                     self._stats.coalesced += len(batch)
-            if self._obs is not None:
-                self._obs.queue_depth.set(depth)
-                for (request, _future, enqueued_at), wait in zip(batch, waits):
-                    self._obs.queue_wait_seconds.observe(wait)
-                    self._obs.tracer.record_span(
-                        request.request_id,
-                        "queue_wait",
-                        start=enqueued_at,
-                        end=enqueued_at + wait,
-                        parent_id=request.trace_parent,
-                        attrs={"model": request.model_id},
-                    )
-            self._run_fold(model_id, batch)
+                self._busy += 1
+            try:
+                if self._obs is not None:
+                    self._obs.queue_depth.set(depth)
+                    for (request, _future, enqueued_at), wait in zip(batch, waits):
+                        self._obs.queue_wait_seconds.observe(wait)
+                        self._obs.tracer.record_span(
+                            request.request_id,
+                            "queue_wait",
+                            start=enqueued_at,
+                            end=enqueued_at + wait,
+                            parent_id=request.trace_parent,
+                            attrs={"model": request.model_id},
+                        )
+                self._run_fold(model_id, batch)
+            finally:
+                with self._lock:
+                    self._busy -= 1
 
     def _run_fold(self, model_id: str, batch: list) -> None:
         """Execute one fold: hook + deadline per request, then the fused job."""

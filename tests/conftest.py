@@ -9,6 +9,9 @@ schema builders live in the conformance scenario registry
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,33 @@ from repro.datasets.schema import Schema
 from repro.datasets.splits import split_dataset
 from repro.generative.builder import GenerativeModelSpec, fit_bayesian_network, fit_marginal_model
 from repro.testing import scenarios
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_dispatcher_outlives_the_suite():
+    """Fail the session if a request-scheduler dispatcher is still alive.
+
+    Dispatchers live until their scheduler (or the ``ServiceApp`` owning it)
+    is closed, so a test that never closes one leaves parked threads, and
+    their pooled engines, behind.  Teardown runs after every module-scoped
+    app has closed and waits up to 5 s for the dispatchers to exit.
+    """
+    yield
+    deadline = time.monotonic() + 5.0
+    while True:
+        survivors = sorted(
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-scheduler-")
+        )
+        if not survivors or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    if survivors:
+        pytest.fail(
+            f"{len(survivors)} scheduler dispatcher(s) outlived the test "
+            f"session (close every RequestScheduler / ServiceApp): {survivors}"
+        )
 
 
 @pytest.fixture(scope="session")

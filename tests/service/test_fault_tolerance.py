@@ -40,6 +40,10 @@ def request(number: int, deadline: float | None = None) -> GenerateRequest:
     )
 
 
+def noop_fold(model_id, requests):
+    return [None] * len(requests)
+
+
 def make_app(**kwargs) -> ServiceApp:
     app = ServiceApp(ModelRegistry(), num_workers=1, **kwargs)
     app.publish_model("tiny", SCENARIO.dataset(0), SCENARIO.config(), seed=5)
@@ -52,7 +56,7 @@ def make_app(**kwargs) -> ServiceApp:
 class TestSchedulerFaults:
     def test_queue_beyond_max_depth_is_refused(self):
         scheduler = RequestScheduler(
-            lambda req: None, max_queue_depth=2, autostart=False
+            fold_executor=noop_fold, max_queue_depth=2, autostart=False
         )
         futures = [scheduler.submit(request(0)), scheduler.submit(request(1))]
         with pytest.raises(QueueFullError, match="max_queue_depth=2"):
@@ -66,7 +70,12 @@ class TestSchedulerFaults:
 
     def test_expired_deadline_is_dropped_undispatched(self):
         executed = []
-        scheduler = RequestScheduler(executed.append, autostart=False)
+
+        def fold(model_id, requests):
+            executed.extend(requests)
+            return [None] * len(requests)
+
+        scheduler = RequestScheduler(fold_executor=fold, autostart=False)
         late = scheduler.submit(request(0, deadline=time.monotonic() - 1.0))
         fresh = scheduler.submit(request(1, deadline=time.monotonic() + 30.0))
         scheduler.start()
@@ -78,7 +87,7 @@ class TestSchedulerFaults:
         scheduler.close()
 
     def test_closed_scheduler_refuses_new_work(self):
-        scheduler = RequestScheduler(lambda req: None)
+        scheduler = RequestScheduler(fold_executor=noop_fold)
         scheduler.close()
         with pytest.raises(SchedulerStoppedError):
             scheduler.submit(request(0))
@@ -87,7 +96,9 @@ class TestSchedulerFaults:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RequestScheduler(lambda req: None, max_queue_depth=0, autostart=False)
+            RequestScheduler(
+                fold_executor=noop_fold, max_queue_depth=0, autostart=False
+            )
 
 
 # --------------------------------------------------------------------------- #

@@ -25,7 +25,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.engine import EngineBrokenError, FoldSpec, SynthesisEngine
+from repro.core.engine import (
+    MAX_FOLD_LANES,
+    EngineBrokenError,
+    FoldSpec,
+    SynthesisEngine,
+)
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 from repro.service import (
     EnginePool,
@@ -390,26 +395,30 @@ class TestSchedulerFolding:
         release.set()  # the abandoned fold still resolves its own future
         assert in_flight.result(timeout=5.0) == "late"
 
-    def test_overflow_folds_run_on_parallel_dispatchers(self):
+    def test_overflow_past_max_fold_lanes_runs_on_a_second_dispatcher(self):
         barrier = threading.Barrier(2)
+        folds = []
 
         def fold(model_id, requests):
+            folds.append(len(requests))
             barrier.wait(timeout=10)  # both dispatchers must be folding at once
             return ["ok"] * len(requests)
 
         with RequestScheduler(
             fold_executor=fold,
             engines_per_model=2,
-            max_batch=2,
             autostart=False,
         ) as scheduler:
-            futures = [scheduler.submit(_request(i)) for i in range(4)]
+            futures = [
+                scheduler.submit(_request(i)) for i in range(MAX_FOLD_LANES + 1)
+            ]
             scheduler.start()
             for future in futures:
                 assert future.result(timeout=10) == "ok"
             stats = scheduler.stats()
+        assert sorted(folds) == [1, MAX_FOLD_LANES]
         assert stats.batches == 2
-        assert sorted(stats.batch_sizes) == [2, 2]
+        assert stats.max_batch == MAX_FOLD_LANES
 
 
 # --------------------------------------------------------------------------- #
@@ -525,7 +534,7 @@ def test_folded_service_is_bit_identical_to_serial_unfolded():
 
     # The fold demonstrably happened: the held-back pair shared one batch.
     assert stats.batches == 2
-    assert sorted(stats.batch_sizes) == [1, 2]
+    assert stats.max_batch == 2
     assert stats.coalesced == 2
     assert stats.fold_factor == 1.5
     # ... and /healthz surfaces the scaling metrics operators need.
@@ -537,7 +546,7 @@ def test_folded_service_is_bit_identical_to_serial_unfolded():
     assert health["engines"]["builds"] == 1
 
 
-def test_fold_window_discards_broken_engine_and_retries_once():
+def test_fold_discards_broken_engine_and_retries_once():
     scenario = get_scenario("toy-correlated")
 
     class _BrokenOnceEngine:

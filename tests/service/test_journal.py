@@ -31,9 +31,9 @@ pytestmark = pytest.mark.service
 SCENARIO = get_scenario("tiny-n")
 
 
-def make_app(journal_path) -> ServiceApp:
+def make_app(journal_path, **kwargs) -> ServiceApp:
     """A fresh service process: same journal, same republished model."""
-    app = ServiceApp(ModelRegistry(), num_workers=1, journal=journal_path)
+    app = ServiceApp(ModelRegistry(), num_workers=1, journal=journal_path, **kwargs)
     # publish_model() happens *after* construction, exactly as in `repro
     # serve`: the journaled sessions stay staged until the content-hashed
     # model id is back in the registry, then replay.
@@ -154,6 +154,25 @@ class TestRestartDurability:
             if event.get("event") in ("reserve", "commit")
         ]
         assert replayed == baseline
+
+    def test_audit_log_records_live_events_but_not_replayed_ones(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        audit = tmp_path / "logs" / "audit.jsonl"  # the directory is created
+        with make_app(journal, audit_log=audit) as app:
+            session_id = app.create_session("tiny", budget={"max_rows": 8})[
+                "session_id"
+            ]
+            app.generate(session_id, rows=2, seed=3)
+        live = read_journal(audit)
+        assert [event["event"] for event in live] == [
+            "session_created",
+            "reserve",
+            "commit",
+            "release",
+        ]
+        with make_app(journal, audit_log=audit):
+            pass  # replay only
+        assert read_journal(audit) == live
 
     @pytest.mark.chaos
     def test_torn_journal_tail_still_restores_the_budget(self, tmp_path):

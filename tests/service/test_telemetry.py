@@ -208,15 +208,26 @@ class TestSchedulerAccounting:
                 deadline=time.monotonic() - 1.0,
             )
         )
+        fresh = scheduler.submit(
+            GenerateRequest(
+                request_id="r-fresh",
+                model_id="m",
+                num_rows=1,
+                base_seed=2,
+                deadline=time.monotonic() + 60.0,
+            )
+        )
         scheduler.start()
         with pytest.raises(DeadlineExceededError):
             late.result(timeout=10)
+        assert fresh.result(timeout=10) is None
         scheduler.close()
         stats = scheduler.stats()
         assert stats.dropped_before_fold == 1
-        assert stats.folded_lanes == 0
+        assert stats.folded_lanes == 1
         assert telemetry.fold_dropped_total.value(reason="expired") == 1
         assert telemetry.requests_total.value(status="failed") == 1
+        assert telemetry.requests_total.value(status="completed") == 1
         telemetry.close()
 
     def test_queue_wait_measured_at_dequeue(self):
