@@ -11,6 +11,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.core.mechanism import SynthesisMechanism
+from repro.core.stream import attempt_stream
 from repro.experiments.harness import ExperimentResult
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams, theorem1_guarantee
 
@@ -24,14 +25,14 @@ def _compare_tests(context, num_attempts=400):
     )
     deterministic = SynthesisMechanism(
         model, seeds, PlausibleDeniabilityParams(k=context.k, gamma=context.gamma)
-    ).run_attempts(num_attempts, context.rng(101))
+    ).run_attempts(num_attempts, attempt_stream(int(context.rng(101).integers(2**63))))
     result.add_row("deterministic (Test 1)", deterministic.pass_rate, float("nan"), float("nan"))
 
     randomized = SynthesisMechanism(
         model,
         seeds,
         PlausibleDeniabilityParams(k=context.k, gamma=context.gamma, epsilon0=context.epsilon0),
-    ).run_attempts(num_attempts, context.rng(102))
+    ).run_attempts(num_attempts, attempt_stream(int(context.rng(102).integers(2**63))))
     epsilon, delta, _ = theorem1_guarantee(context.k, context.gamma, context.epsilon0)
     result.add_row("randomized (Test 2)", randomized.pass_rate, epsilon, delta)
     return result

@@ -31,6 +31,7 @@ from conftest import run_once
 
 from repro.core.mechanism import SynthesisMechanism
 from repro.core.results import SynthesisReport
+from repro.core.stream import attempt_stream
 from repro.datasets.acs import load_acs
 from repro.datasets.splits import split_dataset
 from repro.experiments.harness import ExperimentResult
@@ -73,16 +74,16 @@ def batch_mechanism() -> SynthesisMechanism:
 
 def _run_comparison(mechanism: SynthesisMechanism) -> ExperimentResult:
     start = time.perf_counter()
-    rng = np.random.default_rng(31)
+    stream = attempt_stream(31)
     single = SynthesisReport.merged(
         mechanism.seed_dataset.schema,
-        [reference_propose(mechanism, rng) for _ in range(SINGLE_ATTEMPTS)],
+        [reference_propose(mechanism, stream) for _ in range(SINGLE_ATTEMPTS)],
     )
     single_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     batched = mechanism.run_attempts(
-        BATCHED_ATTEMPTS, np.random.default_rng(32), batch_size=BATCH_SIZE
+        BATCHED_ATTEMPTS, attempt_stream(32), batch_size=BATCH_SIZE
     )
     batched_seconds = time.perf_counter() - start
 

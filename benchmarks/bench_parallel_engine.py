@@ -9,9 +9,9 @@ shared-memory seed matrix and model tables attached, match index built)
 *before* timing begins — the numbers are steady-state chunk throughput, not
 process startup.
 
-Because chunk RNG streams are keyed by chunk index, every worker count
-produces the identical merged report; the benchmark asserts that too, so the
-speedup column is a pure scheduling measurement.
+Because every attempt draws from its own counter-addressed words, every
+worker count produces the identical merged report; the benchmark asserts
+that too, so the speedup column is a pure scheduling measurement.
 
 Floors (only asserted when the machine actually has the cores):
 

@@ -1,9 +1,10 @@
 """RNG hygiene rules (family ``rng``).
 
 Bit-identical parallel synthesis requires every stochastic code path to draw
-from an explicitly threaded ``numpy`` Generator: global module-level streams
-(``np.random.*``, stdlib ``random``) are process-wide hidden state, and
-``default_rng()`` with a constant (or no) seed silently pins — or worse,
+from an explicitly threaded ``numpy`` Generator or attempt stream
+(:mod:`repro.core.stream`): global module-level streams (``np.random.*``,
+stdlib ``random``) are process-wide hidden state, and ``default_rng()`` or
+``attempt_stream()`` with a constant (or no) seed silently pins — or worse,
 unpins — a stream the caller believes they control.
 """
 
@@ -82,11 +83,16 @@ _STOCHASTIC_REPRO_FUNCS = {
     "laplace_noise",
     "laplace_mechanism",
     "sample_dirichlet_rows",
-    "chunk_rng",
+    "attempt_stream",
 }
 
-#: Parameter names through which randomness legitimately flows in.
-_RNG_PARAM_MARKERS = ("rng", "seed", "random_state", "generator")
+#: Calls whose first argument seeds a stream; a literal there pins it.
+_SEEDED_STREAM_FUNCS = {"default_rng", "attempt_stream"}
+
+#: Parameter names through which randomness legitimately flows in: a numpy
+#: Generator or seed, or an attempt stream (``stream``) and the per-attempt
+#: draws it hands out (``words``).
+_RNG_PARAM_MARKERS = ("rng", "seed", "random_state", "generator", "stream", "words")
 
 
 def _has_rng_marker(name: str) -> bool:
@@ -160,13 +166,13 @@ def _hidden_constant_seed(arg: ast.AST) -> bool:
 
 @register
 class RngConstantSeedRule(Rule):
-    """Forbid ``default_rng()`` with a constant or missing seed outside tests."""
+    """Forbid a constant or missing seed for ``default_rng``/``attempt_stream`` outside tests."""
 
     id = "rng-constant-seed"
     family = "rng"
     summary = (
-        "default_rng() with a constant/no seed hides the stream from the "
-        "caller; require an explicit rng or seed argument"
+        "default_rng()/attempt_stream() with a constant/no seed hides the "
+        "stream from the caller; require an explicit rng or seed argument"
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
@@ -175,20 +181,21 @@ class RngConstantSeedRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            if call_terminal_name(node) != "default_rng":
+            name = call_terminal_name(node)
+            if name not in _SEEDED_STREAM_FUNCS:
                 continue
             if not node.args and not node.keywords:
                 yield self.finding(
                     module,
                     node,
-                    "default_rng() without a seed is nondeterministic; thread "
+                    f"{name}() without a seed is nondeterministic; thread "
                     "the caller's rng or seed through",
                 )
             elif node.args and _hidden_constant_seed(node.args[0]):
                 yield self.finding(
                     module,
                     node,
-                    "default_rng(<constant>) pins a hidden fixed stream; "
+                    f"{name}(<constant>) pins a hidden fixed stream; "
                     "require the caller to pass rng/seed explicitly",
                 )
 

@@ -21,12 +21,14 @@ workflow:
 The config file is a JSON object with the privacy-test parameters (``k``,
 ``gamma``, ``epsilon0``, ``max_plausible``, ``max_check_plausible``), the
 generative-model parameters (``omega``, ``total_epsilon``), the data-split
-fractions, the synthesis ``batch_size`` (how many candidates Mechanism 1
-pushes through the vectorized batch path at once; 1 is a batch of one) and
-the synthesis-engine knobs (``workers``, ``chunk_size`` — see the README's
-"Scaling out" section); any omitted key falls back to the defaults below.
-Every release runs through the same engine, so ``workers`` only changes how
-fast the rows come out, never which rows.
+fractions, the synthesis ``batch_size`` (at most how many candidates
+Mechanism 1 pushes through the vectorized batch path at once; 1 is a batch
+of one) and the synthesis-engine knobs (``workers``, ``chunk_size`` — see
+the README's "Scaling out" section); any omitted key falls back to the
+defaults below.  Every release runs through the same engine and every
+attempt draws from its own counter-addressed words, so ``workers``,
+``batch_size`` and ``chunk_size`` only change how fast the rows come out,
+never which rows.
 
 Scaling ``k``: the privacy test releases a candidate only if at least ``k``
 seed records could plausibly have generated it, so the workable ``k`` grows
@@ -74,11 +76,11 @@ _DEFAULT_CONFIG = {
     "max_check_plausible": None,
     "max_parent_cost": 300,
     "max_table_cells": None,
-    "batch_size": 256,
+    "batch_size": 2048,
     # Worker processes of the synthesis engine: 1 runs it in-process, more
     # start a pool (see --workers).  The rows do not depend on it.
     "workers": 1,
-    "chunk_size": 512,
+    "chunk_size": 2048,
     # Crash re-executions allowed per engine chunk before a job fails
     # (supervised worker pools only; retries are bit-identical).
     "max_chunk_retries": 2,
@@ -117,7 +119,7 @@ def build_config(options: dict, num_attributes: int) -> GenerationConfig:
             omega=omega,
             structure=structure,
         )
-    for key, hint in (("batch_size", "256"), ("workers", "1")):
+    for key, hint in (("batch_size", "2048"), ("workers", "1")):
         if merged[key] is None:
             raise ValueError(
                 f"config key {key!r} must be a positive integer, not null "
@@ -304,8 +306,8 @@ def main(argv: list[str] | None = None) -> int:
         "--batch-size",
         type=int,
         default=None,
-        help="candidates per vectorized synthesis batch "
-        "(overrides the config; 1 is a batch of one)",
+        help="most candidates per vectorized synthesis batch "
+        "(overrides the config; 1 is a batch of one; never changes the rows)",
     )
     generate.add_argument(
         "--workers",

@@ -9,10 +9,12 @@
   rates);
 * :mod:`repro.core.pipeline` — the full tool: split the data, fit the DP
   generative model, generate and filter synthetics, report the privacy budget;
+* :mod:`repro.core.stream` — counter-addressed randomness: every draw of
+  attempt i is a function of (base seed, i, slot);
 * :mod:`repro.core.engine` — the chunk-dispatching synthesis engine that runs
   every until-N release, in-process or on a persistent shared-memory worker
-  pool (Section 5 / Figure 5), with until-N dispatch and checkpointing; the
-  worker count never changes the rows;
+  pool (Section 5 / Figure 5), with until-N dispatch and checkpointing;
+  neither the worker count nor the chunk or batch size changes the rows;
 * :mod:`repro.core.run_store` — disk-backed artifact store and run
   checkpoints shared by the pipeline, the experiments and the CLI.
 """

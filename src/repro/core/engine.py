@@ -15,29 +15,28 @@ service all go through it — and is a long-lived execution layer:
   shared counter, so fast workers steal load instead of idling behind a
   static split.  In until-N-released mode a shared released counter stops
   workers within about one chunk of the target instead of burning a static
-  attempt budget.
+  attempt budget, and no chunk computes past the lane's target itself.
 
-* **Deterministic chunk streams.**  Chunk ``i`` always uses the RNG stream
-  ``SeedSequence(base_seed, spawn_key=(i,))`` (exactly the ``i``-th spawned
-  child of ``SeedSequence(base_seed)``), so a chunk's content depends only on
-  its index — never on which worker ran it or on scheduling order.  The
-  merged report is the in-order concatenation of the chunk reports truncated
-  at the Nth release, which makes every worker count produce the *identical*
-  release and accounting as the in-process run on the same chunks.
-  Chunks a speculating worker completes beyond that point are discarded
-  without being recorded; like the unrecorded remainder of the final batch in
-  the mechanism's until-N loop, they are i.i.d. proposals whose omission
-  introduces no bias.
+* **Counter-addressed attempts.**  Every draw of attempt i is a function of
+  (base seed, i, slot) (:mod:`repro.core.stream`), and chunk c of a lane is
+  attempts ``[c * chunk_size, (c + 1) * chunk_size)``.  A chunk's content
+  therefore depends only on its attempt range — never on the worker that ran
+  it, the batch size, or scheduling order — and an until-N release is the
+  first N passing attempt indices with the attempts before them.  The merged
+  report is the in-order concatenation of the chunk reports truncated at the
+  Nth release, so every worker count, batch size and chunk size releases the
+  *identical* rows with the identical accounting.  Chunks a speculating
+  worker completes beyond that point are discarded without being recorded.
 
 * **Request folding.**  :meth:`SynthesisEngine.generate_folded` fuses many
   until-N requests into ONE pool job: each request becomes a *lane* with its
-  own base seed, attempt budget, release target and lane-local chunk grid,
-  and the lanes' chunk plans are round-robin interleaved into a single
-  dispatch.  Because a chunk's content is a pure function of (lane seed,
-  local index), every lane's merged report is bit-identical to running that
-  request alone — folding changes only *when* chunks run, never what they
-  contain.  The serving layer uses this to turn K queued requests for one
-  model into one fused scan instead of K convoyed runs.
+  own stream, attempt budget and release target, and the lanes' chunks are
+  dispatched one lane after the other from one shared counter.  Because a
+  chunk's content is a pure function of (lane seed, attempt range), every
+  lane's merged report is bit-identical to running that request alone —
+  folding changes only *when* chunks run, never what they contain.  The
+  serving layer uses this to turn K queued requests for one model into one
+  fused scan instead of K convoyed runs.
 
 * **Streaming reports and checkpoints.**  Chunk reports arrive incrementally
   (``progress`` callback) and can be checkpointed to a
@@ -63,17 +62,19 @@ service all go through it — and is a long-lived execution layer:
 
 The in-process engine (``num_workers=1``, no subprocesses or shared memory)
 runs the same chunks as the pool and is its equivalence oracle.  It differs
-only in where an until-N lane stops computing: each in-process chunk stops at
-the batch that holds the lane's remaining target, while pool workers run
-whole chunks and the parent truncates.  The merged reports are identical.
+only in where an until-N chunk stops computing: at the lane's remaining
+target in-process, at the lane's whole target on a worker (which cannot see
+the other chunks).  The merged reports are identical.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
+import itertools
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
 from queue import Empty
@@ -85,6 +86,7 @@ from repro.core.mechanism import SynthesisMechanism
 from repro.core.results import SynthesisReport
 from repro.obs.profile import phase as obs_phase
 from repro.core.run_store import RunStore, RunStoreCorruptionError, dataset_fingerprint
+from repro.core.stream import STREAM_VERSION, AttemptStream, attempt_stream
 from repro.datasets.dataset import Dataset
 from repro.datasets.schema import Schema
 from repro.generative.bayesian_network import BayesianNetworkSynthesizer
@@ -98,7 +100,6 @@ __all__ = [
     "FoldSpec",
     "MAX_FOLD_LANES",
     "SynthesisEngine",
-    "chunk_rng",
 ]
 
 #: Upper bound on requests fused into one :meth:`SynthesisEngine.generate_folded`
@@ -150,16 +151,6 @@ class _PoolStuckError(RuntimeError):
     def __init__(self, message: str, exhausted: tuple[int, ...] = ()):
         super().__init__(message)
         self.exhausted = exhausted
-
-
-def chunk_rng(base_seed: int, chunk_index: int) -> np.random.Generator:
-    """The deterministic RNG stream of one dispatch chunk.
-
-    ``SeedSequence(base_seed, spawn_key=(i,))`` is precisely the ``i``-th
-    child ``SeedSequence(base_seed).spawn(...)`` would produce, constructed
-    statelessly so any worker can derive any chunk's stream independently.
-    """
-    return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(chunk_index,)))
 
 
 @dataclass(frozen=True)
@@ -259,7 +250,7 @@ class FoldSpec:
     Mirrors the corresponding :meth:`SynthesisEngine.generate` arguments.
     The folded run's report for this spec is bit-identical to the standalone
     ``generate(num_released, base_seed=..., max_attempts=...)`` call, because
-    each spec becomes its own *lane* with its own chunk-local RNG streams.
+    each spec becomes its own *lane* with its own attempt stream.
     """
 
     num_released: int
@@ -271,15 +262,20 @@ class FoldSpec:
 class _Lane:
     """One request's share of a (possibly fused) job.
 
-    A lane owns a standalone attempt budget, base seed and release target;
-    its chunk-local indices ``0..num_chunks-1`` are seeded exactly as an
-    unfolded run of the same request, so a lane's output never depends on
-    which other lanes shared the job.
+    A lane owns a standalone attempt budget, attempt stream and release
+    target; its chunk ``c`` is attempts ``[c * chunk_size, (c + 1) *
+    chunk_size)`` of its stream, exactly as in an unfolded run of the same
+    request, so a lane's output never depends on which other lanes shared
+    the job.
     """
 
     limit: int
     base_seed: int
     target_released: int | None
+    stream: AttemptStream = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stream", attempt_stream(self.base_seed))
 
     def num_chunks(self, chunk_size: int) -> int:
         return -(-self.limit // chunk_size) if self.limit > 0 else 0
@@ -288,60 +284,39 @@ class _Lane:
         return min(chunk_size, self.limit - local_index * chunk_size)
 
 
-def _fold_plan(lane_chunks: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Round-robin interleaving of the lanes' chunk plans.
-
-    Round ``r`` visits every lane that still has an ``r``-th chunk, in lane
-    order, so the shared dispatch counter stays close to *every* lane's
-    release frontier: until-N lanes stop within about one chunk of their
-    target instead of speculating deep into one request while another
-    starves.  Within a lane the plan preserves local order — the worker-side
-    skip logic relies on claims arriving in lane-local order.
-    """
-    plan: list[tuple[int, int]] = []
-    for round_index in range(max(lane_chunks, default=0)):
-        for lane_index, count in enumerate(lane_chunks):
-            if round_index < count:
-                plan.append((lane_index, round_index))
-    return tuple(plan)
-
-
-def _lane_globals(job: "_Job") -> list[list[int]]:
-    """Per lane, the global chunk indices of its local chunks, in local order."""
-    if job.plan is None:
-        return [list(range(job.num_chunks))]
-    table: list[list[int]] = [[] for _ in job.lanes]
-    for index, (lane_index, _local_index) in enumerate(job.plan):
-        table[lane_index].append(index)
-    return table
-
-
 @dataclass(frozen=True)
 class _Job:
-    """One dispatched run: one or more request lanes over a shared chunk plan.
+    """One dispatched run: one or more request lanes over one chunk counter.
 
-    ``plan`` maps global chunk index to ``(lane, lane-local chunk)``; ``None``
-    is the identity plan of a single-lane job (the common, unfolded case),
-    kept implicit so the per-chunk hot path pays no table lookup.
-    ``completed`` holds *global* indices adopted from a checkpoint.
+    Global chunk indices run through lane 0's chunks, then lane 1's, and so
+    on; claims therefore arrive in lane-local order, which the worker-side
+    skip logic relies on.  ``completed`` holds *global* indices adopted from
+    a checkpoint.
     """
 
     job_id: int
     chunk_size: int
     batch_size: int
     lanes: tuple[_Lane, ...]
-    plan: tuple[tuple[int, int], ...] | None
-    completed: frozenset[int]
+    completed: frozenset[int] = frozenset()
+    offsets: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        counts = (lane.num_chunks(self.chunk_size) for lane in self.lanes)
+        object.__setattr__(self, "offsets", (0, *itertools.accumulate(counts)))
 
     @property
     def num_chunks(self) -> int:
-        if self.plan is not None:
-            return len(self.plan)
-        return self.lanes[0].num_chunks(self.chunk_size)
+        return self.offsets[-1]
 
     def entry(self, index: int) -> tuple[int, int]:
         """``(lane index, lane-local chunk index)`` of global chunk ``index``."""
-        return self.plan[index] if self.plan is not None else (0, index)
+        lane_index = bisect.bisect_right(self.offsets, index) - 1
+        return lane_index, index - self.offsets[lane_index]
+
+    def lane_chunks(self, lane_index: int) -> range:
+        """The global indices of one lane's chunks, in local order."""
+        return range(self.offsets[lane_index], self.offsets[lane_index + 1])
 
     def chunk_attempts(self, index: int) -> int:
         lane_index, local_index = self.entry(index)
@@ -480,8 +455,9 @@ def _worker_main(
                     fault.fire(index)
                 report = mechanism.run_attempts(
                     job.chunk_attempts(index),
-                    chunk_rng(lane.base_seed, local_index),
+                    lane.stream.at(local_index * job.chunk_size),
                     batch_size=job.batch_size,
+                    stop_after_released=lane.target_released,
                 )
                 with lane_released.get_lock():
                     lane_released[lane_index] += report.num_released
@@ -519,12 +495,13 @@ class SynthesisEngine:
     chunk_size:
         Attempts per dispatched chunk.  Smaller chunks balance load better
         and tighten the until-N stopping window; larger chunks amortize
-        dispatch overhead.  The chunk grid is part of a run's RNG layout, so
-        reproducing or resuming a run requires the same chunk size.
+        dispatch overhead.  It never changes the rows; it is the grid of a
+        run's checkpoints, so resuming a run id requires the same chunk size.
     batch_size:
-        Candidates per :meth:`~repro.core.mechanism.SynthesisMechanism.propose_batch`
-        call inside each chunk (a positive int; 1 is a batch of one).  Like
-        the chunk size it is part of a run's RNG layout.
+        Most candidates per
+        :meth:`~repro.core.mechanism.SynthesisMechanism.propose_batch` call
+        inside each chunk (a positive int; 1 is a batch of one).  A speed
+        knob only: it never changes the rows.
     run_store:
         Optional :class:`~repro.core.run_store.RunStore`; run methods given a
         ``run_id`` checkpoint completed chunks there and resume from them.
@@ -555,8 +532,8 @@ class SynthesisEngine:
         params: PlausibleDeniabilityParams,
         *,
         num_workers: int = 1,
-        chunk_size: int = 512,
-        batch_size: int = 256,
+        chunk_size: int = 2048,
+        batch_size: int = 2048,
         run_store: RunStore | None = None,
         max_chunk_retries: int = 2,
         fault_injector=None,
@@ -626,7 +603,7 @@ class SynthesisEngine:
 
     @property
     def batch_size(self) -> int:
-        """Candidates per proposal batch inside each chunk."""
+        """Most candidates per proposal batch inside each chunk."""
         return self._batch_size
 
     # ------------------------------------------------------------------ #
@@ -777,12 +754,11 @@ class SynthesisEngine:
         progress: Callable[[ChunkProgress], None] | None = None,
         run_id: str | None = None,
     ) -> SynthesisReport:
-        """Propose exactly ``num_attempts`` candidates across the pool.
+        """Propose attempts ``0..num_attempts-1`` of ``base_seed``'s stream across the pool.
 
-        The result is identical for every worker count: it equals the
-        concatenation of the deterministic per-chunk reports in chunk order.
-        ``base_seed`` selects the family of chunk streams — reuse it to
-        reproduce a run, vary it to draw fresh candidates.
+        The result is identical for every worker count, chunk size and batch
+        size: attempt i is a pure function of (base seed, i).  Reuse
+        ``base_seed`` to reproduce a run, vary it to draw fresh candidates.
         """
         if num_attempts < 0:
             raise ValueError("num_attempts must be non-negative")
@@ -805,13 +781,15 @@ class SynthesisEngine:
     ) -> SynthesisReport:
         """Propose candidates until ``num_released`` pass the privacy test.
 
-        Workers coordinate through a shared released counter, so generation
-        stops within about one chunk per worker of the target instead of
-        running out a static attempt budget; the in-process engine stops at
-        the proposal batch that holds the target.  ``max_attempts`` (default:
-        100 per requested record) still bounds the run when the parameters
-        are too strict to reach the target.  The released records and the
-        merged accounting are identical for every worker count.
+        The release is the first ``num_released`` passing attempts of
+        ``base_seed``'s stream.  Workers coordinate through a shared released
+        counter, so generation stops within about one chunk per worker of the
+        target instead of running out a static attempt budget; the
+        in-process engine stops at the proposal batch that holds the target.
+        ``max_attempts`` (default: 100 per requested record) still bounds the
+        run when the parameters are too strict to reach the target.  The
+        released records and the merged accounting are identical for every
+        worker count, chunk size and batch size.
         """
         if num_released < 0:
             raise ValueError("num_released must be non-negative")
@@ -835,16 +813,15 @@ class SynthesisEngine:
         """Run several :meth:`generate` requests as one fused job.
 
         Each spec becomes its own *lane*: an independent attempt budget,
-        release target and family of chunk RNG streams, exactly as a
-        standalone ``generate`` call would lay them out.  The lanes' chunk
-        plans are concatenated (round-robin interleaved) into one global
-        dispatch over the shared worker pool, so the pool works on all
-        requests concurrently instead of convoying one request at a time;
-        afterwards the merged results are split back per lane by chunk
-        ownership.  The ``i``-th returned report is bit-identical — rows,
-        attempts, accounting — to ``generate(specs[i].num_released,
-        base_seed=specs[i].base_seed, max_attempts=specs[i].max_attempts)``
-        run on its own, for every worker count.
+        release target and attempt stream, exactly as a standalone
+        ``generate`` call would lay them out.  The lanes' chunks are
+        concatenated into one dispatch over the shared worker pool, so one
+        job serves every request; afterwards the merged results are split
+        back per lane by chunk ownership.  The ``i``-th returned report is
+        bit-identical — rows, attempts, accounting — to
+        ``generate(specs[i].num_released, base_seed=specs[i].base_seed,
+        max_attempts=specs[i].max_attempts)`` run on its own, for every
+        worker count.
 
         Folded jobs do not checkpoint (no ``run_id``): they are the serving
         layer's fast path, where per-request idempotency already provides
@@ -875,12 +852,7 @@ class SynthesisEngine:
             )
         if not lanes:
             return []
-        plan = None
-        if len(lanes) > 1:
-            plan = _fold_plan(
-                [lane.num_chunks(self._chunk_size) for lane in lanes]
-            )
-        return self._execute_lanes(tuple(lanes), plan, progress, run_id=None)
+        return self._execute_lanes(tuple(lanes), progress, run_id=None)
 
     # ------------------------------------------------------------------ #
     # Execution internals
@@ -896,12 +868,11 @@ class SynthesisEngine:
         lanes = (
             _Lane(limit=limit, base_seed=base_seed, target_released=target_released),
         )
-        return self._execute_lanes(lanes, None, progress, run_id)[0]
+        return self._execute_lanes(lanes, progress, run_id)[0]
 
     def _execute_lanes(
         self,
         lanes: tuple[_Lane, ...],
-        plan: tuple[tuple[int, int], ...] | None,
         progress: Callable[[ChunkProgress], None] | None,
         run_id: str | None,
     ) -> list[SynthesisReport]:
@@ -915,14 +886,12 @@ class SynthesisEngine:
             chunk_size=self._chunk_size,
             batch_size=self._batch_size,
             lanes=lanes,
-            plan=plan,
-            completed=frozenset(),
         )
         # Only the contiguous prefix of checkpointed chunks is adopted: a
         # post-gap chunk's releases would preset the shared released counter
         # and could stop the pool before the gap is ever filled, silently
         # under-delivering.  Gap and post-gap chunks are simply regenerated —
-        # chunk content is a pure function of the chunk index, so the rerun
+        # chunk content is a pure function of its attempt range, so the rerun
         # is bit-identical to the checkpoint it replaces.
         loaded = self._load_checkpoint(job, run_id)
         reports: dict[int, SynthesisReport] = {}
@@ -974,8 +943,8 @@ class SynthesisEngine:
                     # stop an until-N lane before its gap is filled), and
                     # re-executing is bit-identical anyway.
                     kept: set[int] = set()
-                    for lane_order in _lane_globals(job):
-                        for index in lane_order:
+                    for lane_index in range(len(job.lanes)):
+                        for index in job.lane_chunks(lane_index):
                             if index not in reports:
                                 break
                             kept.add(index)
@@ -1009,23 +978,22 @@ class SynthesisEngine:
         run_id: str | None,
     ) -> None:
         mechanism = self._mechanism()
-        lane_globals = _lane_globals(job)
         # Lanes run one after the other — literally the K serial unfolded
         # requests — which is exactly what the pool path must be bit-identical
-        # to (chunk content is a pure function of (lane seed, local index), so
-        # execution order never matters).  A chunk stops at the batch that
-        # holds the lane's remaining target: the pool computes the whole chunk
-        # and _finalize cuts it at the same attempt, so the reports agree.
+        # to (chunk content is a pure function of (lane seed, attempt range),
+        # so execution order never matters).  A chunk stops at the batch that
+        # holds the lane's remaining target: a worker stops later, at the
+        # lane's whole target, and _finalize cuts both at the same attempt.
         for lane_index, lane in enumerate(job.lanes):
             released = 0
-            for local_index, index in enumerate(lane_globals[lane_index]):
+            for local_index, index in enumerate(job.lane_chunks(lane_index)):
                 if lane.target_released is not None and released >= lane.target_released:
                     break
                 report = reports.get(index)
                 if report is None:
                     report = mechanism.run_attempts(
                         lane.chunk_attempts(local_index, job.chunk_size),
-                        chunk_rng(lane.base_seed, local_index),
+                        lane.stream.at(local_index * job.chunk_size),
                         batch_size=job.batch_size,
                         stop_after_released=(
                             None
@@ -1264,7 +1232,7 @@ class SynthesisEngine:
         either a message the dead worker's feeder thread never flushed or a
         target-met claim a lane consumed without executing.  Re-executing is
         safe in both cases: chunk content is a pure function of
-        ``(base_seed, chunk_index)``, a raced duplicate delivery is dropped
+        ``(base_seed, attempt range)``, a raced duplicate delivery is dropped
         with its counter double-increment undone, and :meth:`_finalize`
         truncates each lane at its target.  Unlike the dead worker's
         in-flight chunk (the potential culprit), holes are innocent victims
@@ -1347,12 +1315,11 @@ class SynthesisEngine:
         self, job: _Job, reports: dict[int, SynthesisReport]
     ) -> list[SynthesisReport]:
         """Per lane, merge the in-order chunk prefix truncated at its target."""
-        lane_globals = _lane_globals(job)
         merged: list[SynthesisReport] = []
         with obs_phase("merge"):
             for lane_index, lane in enumerate(job.lanes):
                 ordered: list[SynthesisReport] = []
-                for index in lane_globals[lane_index]:
+                for index in job.lane_chunks(lane_index):
                     report = reports.get(index)
                     if report is None:
                         if lane.target_released is None:
@@ -1419,7 +1386,7 @@ class SynthesisEngine:
             "limit": job.limit,
             "chunk_size": job.chunk_size,
             "base_seed": job.base_seed,
-            "batch_size": job.batch_size,
+            "stream": STREAM_VERSION,
             "target_released": job.target_released,
             "k": self._params.k,
             "gamma": self._params.gamma,
@@ -1474,7 +1441,6 @@ class _FoldPrefix:
     def __init__(self, job: _Job, reports: dict[int, SynthesisReport]):
         self._job = job
         self._reports = reports
-        self._lane_globals = _lane_globals(job)
         self._released = [0] * len(job.lanes)
         self._local = [0] * len(job.lanes)
         for lane_index in range(len(job.lanes)):
@@ -1482,7 +1448,7 @@ class _FoldPrefix:
 
     def advance(self, lane_index: int) -> None:
         """Extend one lane's prefix over newly received chunk reports."""
-        lane_order = self._lane_globals[lane_index]
+        lane_order = self._job.lane_chunks(lane_index)
         local = self._local[lane_index]
         while local < len(lane_order) and lane_order[local] in self._reports:
             self._released[lane_index] += self._reports[lane_order[local]].num_released
@@ -1496,7 +1462,7 @@ class _FoldPrefix:
             and self._released[lane_index] >= lane.target_released
         ):
             return True
-        return self._local[lane_index] >= len(self._lane_globals[lane_index])
+        return self._local[lane_index] >= len(self._job.lane_chunks(lane_index))
 
     def all_satisfied(self) -> bool:
         return all(

@@ -17,7 +17,11 @@ The mechanism has one proposal path: :meth:`propose_batch` pushes a block of
 seeds through the model's vectorized generation and probability interfaces,
 and :meth:`run_attempts` loops over such blocks, optionally stopping at the
 n-th release — the hot path for producing millions of records (Section 5,
-Figure 5).  Attempts come back as column blocks
+Figure 5).  Randomness comes from a counter-addressed
+:class:`~repro.core.stream.AttemptStream`: attempt i reads only its own
+words, so its seed, candidate and decision are a pure function of (base
+seed, i), and batch sizes are a speed knob that cannot change a row.
+Attempts come back as column blocks
 (:class:`~repro.core.results.SynthesisReport`).  The one-candidate-at-a-time
 transcription of the paper's loop survives only as a test oracle,
 :func:`repro.testing.invariants.reference_attempt`.
@@ -28,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.results import SynthesisReport
+from repro.core.stream import AttemptStream
 from repro.datasets.dataset import Dataset
 from repro.obs.profile import phase as obs_phase
 from repro.generative.base import GenerativeModel
@@ -38,6 +43,17 @@ from repro.privacy.plausible_deniability import (
 )
 
 __all__ = ["SynthesisMechanism"]
+
+
+def _attempts_for(needed: int, report: SynthesisReport) -> int:
+    """Attempts likely to hold ``needed`` more releases, given ``report`` so far.
+
+    Twice ``needed`` before anything passed (doubling while nothing does),
+    then ``needed`` over the pass rate seen so far.
+    """
+    if not report.num_released:
+        return 2 * max(needed, report.num_attempts)
+    return -(-needed * report.num_attempts // report.num_released)
 
 
 class _SeedMatchIndex:
@@ -140,32 +156,34 @@ class SynthesisMechanism:
     # Proposals
     # ------------------------------------------------------------------ #
     def propose_batch(
-        self, batch_size: int, rng: np.random.Generator
+        self, batch_size: int, stream: AttemptStream
     ) -> SynthesisReport:
-        """Run steps 1-3 of Mechanism 1 for a whole block of candidates at once.
+        """Run steps 1-3 of Mechanism 1 for the next ``batch_size`` attempts of ``stream``.
 
         Seeds are drawn, candidates generated and the privacy test evaluated
         through the model's vectorized batch interfaces
-        (:meth:`~repro.generative.base.GenerativeModel.generate_batch` /
+        (``generate_batch`` /
         :meth:`~repro.generative.base.GenerativeModel.batch_probability_matrix`),
         so the per-candidate Python overhead is amortized over the batch.
-        Each candidate's release decision is still independent, exactly as in
-        the paper's one-candidate loop.  The kernels' arrays
-        become the block's columns as they are.
+        Every draw of an attempt comes from its own words of the stream, so
+        each candidate and release decision is the one the paper's
+        one-candidate loop would make for that attempt index, whatever the
+        batch.  The kernels' arrays become the block's columns as they are.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         with obs_phase("sample"):
-            seed_indices = rng.integers(len(self._seeds), size=batch_size)
+            words = stream.take(batch_size, len(self._seeds.schema))
+            seed_indices = words.seed_indices(len(self._seeds))
             candidates = self._model.generate_batch(
-                self._seeds.data[seed_indices], rng
+                self._seeds.data[seed_indices], words
             )
         with obs_phase("privacy_test"):
             fast_counts = self._fast_batch_counts(seed_indices, candidates)
             if fast_counts is not None:
                 counts, partitions, checked, saturated = fast_counts
                 tested = self._test.results_from_counts(
-                    counts, partitions, checked, rng, saturated=saturated
+                    counts, partitions, checked, words, saturated=saturated
                 )
             else:
                 probability_matrix = self._model.batch_probability_matrix(
@@ -177,7 +195,7 @@ class SynthesisMechanism:
                     np.arange(batch_size), seed_indices
                 ]
                 tested = self._test.run_batch(
-                    seed_probabilities, probability_matrix, rng
+                    seed_probabilities, probability_matrix, words
                 )
         return SynthesisReport(
             self._seeds.schema,
@@ -260,21 +278,25 @@ class SynthesisMechanism:
     def run_attempts(
         self,
         num_attempts: int,
-        rng: np.random.Generator,
-        batch_size: int = 256,
+        stream: AttemptStream,
+        batch_size: int = 2048,
         stop_after_released: int | None = None,
     ) -> SynthesisReport:
-        """Propose up to ``num_attempts`` candidates in batches of ``batch_size``.
+        """Propose the next ``num_attempts`` attempts of ``stream``, in batches.
 
         This is Mechanism 1's one proposal loop: every batch, including a
         batch of one, goes through :meth:`propose_batch`.  With
-        ``stop_after_released=n`` the loop stops after the batch that holds
-        the n-th release and cuts that batch there
+        ``stop_after_released=n`` the report is the first n passing attempts
+        of the range and the attempts before them: the loop stops after the
+        batch that holds the n-th release and cuts that batch there
         (:meth:`~repro.core.results.SynthesisReport.until_released`), so the
-        released count never overshoots — every release costs privacy budget
-        — and the unrecorded i.i.d. remainder of the final batch introduces
-        no bias.  The report may hold fewer than ``n`` releases when the
-        attempt budget runs out first.
+        released count never overshoots — every release costs privacy budget.
+        Because attempts are counter-addressed, batch boundaries cannot move
+        that cut, so each batch is sized for speed from what is still needed:
+        twice the missing releases at first, then the missing releases over
+        the pass rate seen so far, never more than ``batch_size``.  The
+        report may hold fewer than ``n`` releases when the attempt budget
+        runs out first.
         """
         if num_attempts < 0:
             raise ValueError("num_attempts must be non-negative")
@@ -288,7 +310,9 @@ class SynthesisMechanism:
             stop_after_released is None or report.num_released < stop_after_released
         ):
             size = min(batch_size, remaining)
-            block = self.propose_batch(size, rng)
+            if stop_after_released is not None:
+                size = min(size, _attempts_for(stop_after_released - report.num_released, report))
+            block = self.propose_batch(size, stream)
             if stop_after_released is not None:
                 block = block.until_released(stop_after_released - report.num_released)
             report.record(block)

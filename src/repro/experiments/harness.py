@@ -22,6 +22,7 @@ from repro.core.config import GenerationConfig
 from repro.core.engine import SynthesisEngine
 from repro.core.mechanism import SynthesisMechanism
 from repro.core.run_store import RunStore
+from repro.core.stream import STREAM_VERSION
 from repro.datasets.acs import load_acs
 from repro.datasets.dataset import Dataset
 from repro.datasets.splits import DataSplits, split_dataset
@@ -363,9 +364,9 @@ class ExperimentContext:
                     "k": self.k,
                     "gamma": self.gamma,
                     "epsilon0": self.epsilon0,
-                    # How the rows were drawn; bump when the release path
-                    # changes so datasets drawn by an older path never match.
-                    "release_scheme": "engine-until-n-v1",
+                    # How the rows were drawn: the attempt-stream layout, so
+                    # datasets drawn under an older layout never match.
+                    "release_scheme": f"engine-until-n-v{STREAM_VERSION}",
                 }
             )
             store_key = RunStore.artifact_key("context-synthetic", payload)

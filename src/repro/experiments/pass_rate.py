@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.stream import attempt_stream
 from repro.experiments.harness import ExperimentContext, ExperimentResult
 from repro.generative.bayesian_network import BayesianNetworkSynthesizer
 from repro.privacy.plausible_deniability import batch_plausible_seed_counts
@@ -39,15 +40,19 @@ def plausible_seed_counts(
     generation probability falls into the same geometric bucket as the true
     seed's — the quantity the privacy test compares against k.  Computing the
     counts once lets a whole k-sweep reuse the same candidates.  Candidates
-    are generated and evaluated through the model's vectorized batch path;
-    ``batch_size`` bounds the (candidates x seeds) probability-matrix blocks.
+    are generated and evaluated through the model's vectorized batch path,
+    as the first ``num_candidates`` attempts of a stream keyed by a base seed
+    drawn from ``rng``; ``batch_size`` bounds the (candidates x seeds)
+    probability-matrix blocks.
     """
     counts = np.zeros(num_candidates, dtype=np.int64)
+    stream = attempt_stream(int(rng.integers(2**63)))
     produced = 0
     while produced < num_candidates:
         size = min(batch_size, num_candidates - produced)
-        seed_indices = rng.integers(len(seeds), size=size)
-        candidates = model.generate_batch(seeds.data[seed_indices], rng)
+        words = stream.take(size, len(seeds.schema))
+        seed_indices = words.seed_indices(len(seeds))
+        candidates = model.generate_batch(seeds.data[seed_indices], words)
         matrix = model.batch_probability_matrix(seeds.data, candidates)
         counts[produced : produced + size], _, _, _ = batch_plausible_seed_counts(
             matrix[np.arange(size), seed_indices], matrix, gamma

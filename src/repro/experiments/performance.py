@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 
 from repro.core.engine import SynthesisEngine
+from repro.core.stream import attempt_stream
 from repro.experiments.harness import ExperimentContext, ExperimentResult
 
 __all__ = ["run_performance_measurement", "run_parallel_scaling"]
@@ -24,7 +25,8 @@ def run_performance_measurement(
 ) -> ExperimentResult:
     """Figure 5: cumulative time to synthesize increasing numbers of records.
 
-    Candidates are proposed in vectorized batches of ``batch_size``.
+    Candidates are proposed in vectorized batches of ``batch_size``, as
+    consecutive attempts of one stream.
     """
     ctx = context if context is not None else ExperimentContext()
 
@@ -42,7 +44,7 @@ def run_performance_measurement(
             "records / second",
         ],
     )
-    rng = ctx.rng(80)
+    stream = attempt_stream(int(ctx.rng(80).integers(2**63)))
     produced = 0
     synthesis_seconds = 0.0
     for checkpoint in sorted(checkpoints):
@@ -50,7 +52,7 @@ def run_performance_measurement(
         if batch <= 0:
             continue
         start = time.perf_counter()
-        mechanism.run_attempts(batch, rng, batch_size=batch_size)
+        mechanism.run_attempts(batch, stream, batch_size=batch_size)
         synthesis_seconds += time.perf_counter() - start
         produced = checkpoint
         rate = produced / synthesis_seconds if synthesis_seconds > 0 else float("inf")

@@ -7,8 +7,10 @@ Mechanism 1 (Section 2) only needs two things from a generative model M:
   privacy test can count plausible seeds.
 
 The plausible-deniability framework is deliberately agnostic to how M is
-built; any class implementing :class:`GenerativeModel` can be plugged into
-:class:`repro.core.mechanism.SynthesisMechanism`.
+built.  :class:`repro.core.mechanism.SynthesisMechanism` additionally needs
+``generate_batch(seeds, words)``, which generates one candidate per seed row
+from that attempt's counter-addressed draws (:mod:`repro.core.stream`); the
+Bayesian-network synthesizer provides it.
 """
 
 from __future__ import annotations
@@ -52,20 +54,6 @@ class GenerativeModel(ABC):
             [self.seed_probability(matrix[row], candidate) for row in range(matrix.shape[0])],
             dtype=np.float64,
         )
-
-    def generate_batch(self, seeds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Generate one synthetic record per row of ``seeds``.
-
-        The default implementation loops over :meth:`generate`; seed-based
-        models should override it with a vectorized version — the batched
-        Mechanism 1 calls it on whole blocks of seed rows.
-        """
-        matrix = np.asarray(seeds, dtype=np.int64)
-        if matrix.ndim != 2:
-            raise ValueError("seeds must be a 2-D (records x attributes) array")
-        if matrix.shape[0] == 0:
-            return np.empty((0, len(self.schema)), dtype=np.int64)
-        return np.vstack([self.generate(matrix[row], rng) for row in range(matrix.shape[0])])
 
     def batch_probability_matrix(
         self, seeds: np.ndarray, candidates: np.ndarray

@@ -230,14 +230,12 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
             return self._omegas[0]
         return int(self._omegas[rng.integers(len(self._omegas))])
 
-    def draw_omegas(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw one ω per record, uniformly from the configured ω set."""
-        if size < 0:
-            raise ValueError("size must be non-negative")
+    def draw_omegas(self, words) -> np.ndarray:
+        """One ω per attempt of ``words``, uniformly from the configured ω set."""
         choices = np.asarray(self._omegas, dtype=np.int64)
         if choices.size == 1:
-            return np.full(size, choices[0], dtype=np.int64)
-        return choices[rng.integers(choices.size, size=size)]
+            return np.full(len(words), choices[0], dtype=np.int64)
+        return choices[words.omega_indices(choices.size)]
 
     # ------------------------------------------------------------------ #
     # Generation
@@ -274,7 +272,7 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
     def generate_batch(
         self,
         seeds: np.ndarray,
-        rng: np.random.Generator,
+        words,
         omegas: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorized ancestral re-sampling over every row of ``seeds`` at once.
@@ -288,8 +286,11 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         ----------
         seeds:
             (records x attributes) matrix of seed rows.
-        rng:
-            Source of randomness for the ω draws and the re-sampling.
+        words:
+            The attempts' draws (:class:`~repro.core.stream.AttemptWords`),
+            one attempt per seed row: row r reads its ω choice and its uniform
+            for σ position p from its own words, so a row's output never
+            depends on the batch around it.
         omegas:
             Optional per-row ω values; drawn uniformly from the configured ω
             set when omitted.
@@ -297,8 +298,13 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         matrix = self._checked_records(seeds, "seeds")
         m = len(self._schema)
         num_rows = matrix.shape[0]
+        if len(words) != num_rows or words.num_attributes != m:
+            raise ValueError(
+                f"words must hold one {m}-attribute attempt per seed row, got "
+                f"{len(words)} attempt(s) of {words.num_attributes} attribute(s)"
+            )
         if omegas is None:
-            omega_draws = self.draw_omegas(rng, num_rows)
+            omega_draws = self.draw_omegas(words)
         else:
             omega_draws = np.asarray(omegas, dtype=np.int64)
             if omega_draws.shape != (num_rows,):
@@ -320,7 +326,7 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
             else:
                 rows = np.nonzero(omega_draws >= m - position)[0]
             configs = table._configuration_indices(bucketized[rows][:, parents])
-            values = table._sample_batch(rng, configs)
+            values = table._sample_batch(words.position(position)[rows], configs)
             records[rows, attribute] = values
             bucketized[rows, attribute] = bucket_table[values]
         return records

@@ -247,10 +247,15 @@ class ConditionalParameters:
         if configs.ndim != 1:
             raise ValueError("configuration_indices must be a 1-D array")
         self._check_configurations(configs)
-        return self._sample_batch(rng, configs)
+        return self._sample_batch(rng.random(configs.size), configs)
 
-    def _sample_batch(self, rng: np.random.Generator, configs: np.ndarray) -> np.ndarray:
-        """Unchecked kernel of :meth:`sample_batch`."""
+    def _sample_batch(self, uniforms: np.ndarray, configs: np.ndarray) -> np.ndarray:
+        """Unchecked kernel of :meth:`sample_batch`: invert each row's CDF at its uniform.
+
+        The mechanism passes each attempt's word for this attribute's σ
+        position (:meth:`repro.core.stream.AttemptWords.position`), so a row's
+        value never depends on which other rows share the batch.
+        """
         cdf = self._cdf[configs]
         # Scale the uniforms onto each row's actual cumulative total so float
         # rounding can never push a draw past the last positive-probability
@@ -259,8 +264,8 @@ class ConditionalParameters:
         # zero-probability values — skips past them.  A zero-probability
         # sample would later fail the privacy test's positive-seed-probability
         # invariant.
-        uniforms = rng.random(configs.size) * cdf[:, -1]
-        values = (cdf <= uniforms[:, None]).sum(axis=1, dtype=np.int64)
+        scaled = uniforms * cdf[:, -1]
+        values = (cdf <= scaled[:, None]).sum(axis=1, dtype=np.int64)
         return np.minimum(values, self.cardinality - 1)
 
     def resample_table(self, rng: np.random.Generator) -> "ConditionalParameters":

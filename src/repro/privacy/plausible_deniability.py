@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -195,10 +196,12 @@ def plausible_seed_count(
         These affect performance and the pass rate but never the privacy
         guarantee.
     rng:
-        Randomness for the scan order.  Required when early termination is
-        requested: without a caller-supplied rng every candidate would scan
-        the records in the same "random" order, i.e. a fixed biased subset
-        under ``max_check_plausible``.
+        Randomness for the scanned subset: the ``max_check_plausible``
+        records with the smallest ``rng.random(|D|)`` keys, the same subset
+        :func:`batch_plausible_seed_counts` scans for a row whose
+        ``scan_rng`` returns an identically seeded generator.  Required when
+        early termination is requested: without a caller-supplied rng every
+        candidate would scan the same fixed, biased record subset.
 
     Returns
     -------
@@ -227,9 +230,10 @@ def plausible_seed_count(
             "rng for the scan order; a fixed order would scan the same biased "
             "record subset for every candidate"
         )
-    order = rng.permutation(probs.size)
     limit = probs.size if max_check_plausible is None else min(probs.size, max_check_plausible)
-    partitions = partition_numbers(probs[order[:limit]], gamma)
+    if limit < probs.size:
+        probs = probs[np.argpartition(rng.random(probs.size), limit)[:limit]]
+    partitions = partition_numbers(probs, gamma)
     raw_count = int(np.sum(partitions == seed_partition))
     saturated = max_plausible is not None and raw_count >= max_plausible
     count = min(raw_count, max_plausible) if max_plausible is not None else raw_count
@@ -242,7 +246,7 @@ def batch_plausible_seed_counts(
     gamma: float,
     max_check_plausible: int | None = None,
     max_plausible: int | None = None,
-    rng: np.random.Generator | None = None,
+    scan_rng: Callable[[int], np.random.Generator] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`plausible_seed_count` over a batch of candidates.
 
@@ -259,11 +263,12 @@ def batch_plausible_seed_counts(
         Bucket width.
     max_check_plausible, max_plausible:
         Early-termination knobs.  Each candidate examines its own independent
-        uniformly-random record subset (matching the sequential scan's
-        distribution); counts are capped at ``max_plausible``.  Requires
-        ``rng``.
-    rng:
-        Randomness for the per-candidate scan subsets.
+        uniformly-random record subset; counts are capped at
+        ``max_plausible``.  Requires ``scan_rng``.
+    scan_rng:
+        ``scan_rng(c)`` is candidate row c's own generator; the row scans
+        exactly the subset :func:`plausible_seed_count` scans with it, so a
+        candidate's count never depends on the rows batched with it.
 
     Returns
     -------
@@ -291,7 +296,7 @@ def batch_plausible_seed_counts(
         saturated = np.zeros(num_candidates, dtype=bool)
         return counts.astype(np.int64), seed_partitions, checked, saturated
 
-    if rng is None:
+    if scan_rng is None:
         raise ValueError(
             "early termination (max_check_plausible / max_plausible) requires an "
             "rng for the scan order; a fixed order would scan the same biased "
@@ -305,9 +310,8 @@ def batch_plausible_seed_counts(
     if limit < num_records:
         # One independent without-replacement subset per candidate; a partial
         # partition beats a full argsort since only membership matters.
-        columns = np.argpartition(
-            rng.random((num_candidates, num_records)), limit, axis=1
-        )[:, :limit]
+        keys = np.stack([scan_rng(row).random(num_records) for row in range(num_candidates)])
+        columns = np.argpartition(keys, limit, axis=1)[:, :limit]
         scanned = np.take_along_axis(matrix, columns, axis=1)
     else:
         scanned = matrix
@@ -397,9 +401,14 @@ class DeterministicPrivacyTest:
         self,
         seed_probabilities: np.ndarray,
         probability_matrix: np.ndarray,
-        rng: np.random.Generator | None = None,
+        words=None,
     ) -> dict[str, np.ndarray]:
-        """Run the test on a whole batch of candidates in one vectorized pass."""
+        """Run the test on a whole batch of candidates in one vectorized pass.
+
+        ``words`` (:class:`~repro.core.stream.AttemptWords`, one attempt per
+        candidate) supplies the per-attempt scan generators the
+        early-termination knobs need.
+        """
         params = self._params
         counts, partitions, checked, saturated = batch_plausible_seed_counts(
             seed_probabilities,
@@ -407,16 +416,16 @@ class DeterministicPrivacyTest:
             params.gamma,
             params.max_check_plausible,
             params.max_plausible,
-            rng,
+            None if words is None else words.scan_rng,
         )
-        return self.results_from_counts(counts, partitions, checked, saturated=saturated)
+        return self.results_from_counts(counts, partitions, checked, words, saturated=saturated)
 
     def results_from_counts(
         self,
         counts: np.ndarray,
         partitions: np.ndarray,
         checked: np.ndarray,
-        rng: np.random.Generator | None = None,
+        words=None,
         *,
         saturated: np.ndarray | None = None,
     ) -> dict[str, np.ndarray]:
@@ -476,38 +485,44 @@ class RandomizedPrivacyTest:
         self,
         seed_probabilities: np.ndarray,
         probability_matrix: np.ndarray,
-        rng: np.random.Generator | None = None,
+        words=None,
     ) -> dict[str, np.ndarray]:
-        """Vectorized Privacy Test 2: one Laplace threshold draw per candidate."""
+        """Vectorized Privacy Test 2: one Laplace threshold per candidate.
+
+        ``words`` (:class:`~repro.core.stream.AttemptWords`, one attempt per
+        candidate) supplies each attempt's threshold noise and scan generator.
+        """
         params = self._params
-        if rng is None:
-            raise ValueError("the batched randomized test requires an rng")
+        if words is None:
+            raise ValueError("the batched randomized test requires the attempts' words")
         counts, partitions, checked, saturated = batch_plausible_seed_counts(
             seed_probabilities,
             probability_matrix,
             params.gamma,
             params.max_check_plausible,
             params.max_plausible,
-            rng,
+            words.scan_rng,
         )
-        return self.results_from_counts(counts, partitions, checked, rng, saturated=saturated)
+        return self.results_from_counts(counts, partitions, checked, words, saturated=saturated)
 
     def results_from_counts(
         self,
         counts: np.ndarray,
         partitions: np.ndarray,
         checked: np.ndarray,
-        rng: np.random.Generator | None = None,
+        words=None,
         *,
         saturated: np.ndarray | None = None,
     ) -> dict[str, np.ndarray]:
-        """The test columns of a block, drawing one Laplace threshold each."""
+        """The test columns of a block, with each attempt's own Laplace threshold."""
         params = self._params
-        if rng is None:
-            raise ValueError("the batched randomized test requires an rng")
+        if words is None:
+            raise ValueError("the batched randomized test requires the attempts' words")
+        if len(words) != len(counts):
+            raise ValueError("words must hold one attempt per count")
         assert params.epsilon0 is not None
         # Accounted per Theorem 1 at release time.  # repro: allow[privacy-unrecorded-noise]
-        thresholds = params.k + laplace_noise(1.0 / params.epsilon0, rng, size=len(counts))
+        thresholds = params.k + words.laplace(1.0 / params.epsilon0)
         return _test_columns(counts, partitions, checked, saturated, thresholds)
 
 

@@ -6,8 +6,8 @@ budget-governed :class:`TenantSession` handles with an auditable spend
 ledger, a folding :class:`RequestScheduler` that fuses concurrent same-model
 requests into one multi-lane engine job over a bounded :class:`EnginePool`
 of supervised :class:`~repro.core.engine.SynthesisEngine` instances
-(per-request chunk-indexed RNG streams keep any folding or interleaving
-bit-identical to serial service), and a stdlib JSON/HTTP front end
+(per-request counter-addressed attempt streams keep any folding or
+interleaving bit-identical to serial service), and a stdlib JSON/HTTP front end
 (:class:`ServiceApp`, :func:`build_server`).
 """
 

@@ -13,7 +13,7 @@ wires the other service pieces together:
   concurrent same-model requests into one multi-lane engine job
   (:meth:`~repro.core.engine.SynthesisEngine.generate_folded`) dispatched on a
   bounded :class:`~repro.service.engine_pool.EnginePool`, with per-request
-  chunk-indexed RNG streams so any folding or interleaving releases
+  counter-addressed attempt streams so any folding or interleaving releases
   bit-identical rows to serving the requests serially,
 * an append-only JSON-lines audit log of every budget event.
 
@@ -59,6 +59,7 @@ from repro.core.engine import (
     SynthesisEngine,
 )
 from repro.core.results import SynthesisReport
+from repro.core.stream import STREAM_VERSION
 from repro.obs import Telemetry
 from repro.obs.profile import profiled
 from repro.service.engine_pool import EnginePool
@@ -549,7 +550,7 @@ class ServiceApp:
         drain runs as a single fused engine job on a pooled engine.  A lease
         whose engine turns out broken mid-fold is discarded (evicted from the
         pool) and the fold retried once on a freshly built engine — every
-        lane is deterministic in (base_seed, chunk index), so the retry
+        lane is deterministic in (base_seed, attempt index), so the retry
         releases the same rows the first attempt would have.
         """
         with self._lock:
@@ -713,8 +714,11 @@ class ServiceApp:
         A repeated ``idempotency_key`` (scoped per session) replays the
         recorded release — same release id, same rows, zero additional
         budget spend — so a client that lost the connection mid-response can
-        retry safely.  Admission refusal maps to 503 (+ ``Retry-After``) and
-        a missed dispatch deadline to 504; both refund the reservation.
+        retry safely; a journaled release drawn under an older attempt-stream
+        layout cannot be regenerated and is refused with 410
+        ``release_not_regenerable``.  Admission refusal maps to 503
+        (+ ``Retry-After``) and a missed dispatch deadline to 504; both
+        refund the reservation.
         """
         if rows < 1:
             raise ServiceError(400, "bad_rows", "rows must be a positive integer")
@@ -862,6 +866,7 @@ class ServiceApp:
                 "session_id": session_id,
                 "model_id": model.model_id,
                 "base_seed": base_seed,
+                "stream": STREAM_VERSION,
                 "requested_rows": rows,
                 "released_rows": report.num_released,
                 "max_attempts": max_attempts,
@@ -878,16 +883,31 @@ class ServiceApp:
 
         If the record is still in the bounded release history it is returned
         directly.  After an expiry or a restart the rows are regenerated from
-        the recorded ``base_seed`` — bit-identical by the engine's chunk-RNG
-        determinism — with **no** budget interaction: the original commit
-        already paid for exactly these rows.  Older journals also record an
-        ``engine_key``; it is ignored, because it never changed the rows.
+        the recorded ``base_seed`` — bit-identical, because attempt i is a
+        pure function of (base seed, i) — with **no** budget interaction: the
+        original commit already paid for exactly these rows.  A release
+        journaled under another attempt-stream layout (no ``stream`` field,
+        or one other than :data:`~repro.core.stream.STREAM_VERSION`) is
+        refused with 410 ``release_not_regenerable``: regenerating it would
+        hand the tenant a second, different set of rows it never paid for.
+        Older journals also record an ``engine_key``; it is ignored, because
+        it never changed the rows.
         """
         release_id = meta["release_id"]
         with self._lock:
             record = self._releases.get(release_id)
         if record is not None:
             return record
+        if meta.get("stream") != STREAM_VERSION:
+            raise ServiceError(
+                410,
+                "release_not_regenerable",
+                f"release {release_id} was drawn under attempt-stream version "
+                f"{meta.get('stream', 1)} and this server draws version "
+                f"{STREAM_VERSION}; its rows cannot be regenerated, and it was "
+                "not charged again",
+                release_id=release_id,
+            )
         request = GenerateRequest(
             request_id=meta["request_id"],
             model_id=meta["model_id"],

@@ -13,6 +13,9 @@ in this codebase must preserve.  This package makes asserting them reusable:
   tiny-n) usable as fixtures by tests and benchmarks alike;
 * :mod:`repro.testing.golden` — a golden-run regression store of canonical
   per-scenario digests, with a ``python -m repro.testing record/check`` CLI;
+* :mod:`repro.testing.exact` — the exact output law of Mechanism 1 on an
+  enumerable schema (Definition 1), and the chi-square sampler check of
+  ``run_attempts`` against it with its committed stream mutants;
 * :mod:`repro.testing.faults` — a chaos harness of injectable fault points
   (worker SIGKILL at a chosen chunk, dispatch delay, journal-tail
   truncation) for proving the recovery paths deterministic.

@@ -10,10 +10,10 @@ benchmark or future fast path can call:
   run is bit-identical across worker counts (released rows *and* the full
   per-attempt accounting);
 * :func:`check_rng_reproducibility` — a run is a pure function of its seed;
-* :func:`check_batched_mechanism_parity` — batched Mechanism 1 decisions match
-  re-evaluating each candidate through the scalar oracle
-  (:func:`reference_attempt`, with :func:`reference_propose` the paper's
-  one-candidate loop step);
+* :func:`check_batched_mechanism_parity` — batched Mechanism 1 attempts equal,
+  column for column, the scalar oracle's on the same attempt indices
+  (:func:`reference_propose`, the paper's one-candidate loop step, and
+  :func:`reference_attempt`, its privacy test);
 * :func:`check_accountant_conservation` — the privacy ledger never
   under-reports spend under any composition mode;
 * :func:`check_theorem1_bounds` — every recorded attempt obeys the
@@ -37,6 +37,7 @@ import numpy as np
 from repro.core.engine import SynthesisEngine
 from repro.core.mechanism import SynthesisMechanism
 from repro.core.results import SynthesisReport
+from repro.core.stream import AttemptStream, AttemptWords, attempt_stream
 from repro.datasets.dataset import Dataset
 from repro.generative.base import GenerativeModel
 from repro.generative.structure import (
@@ -47,7 +48,7 @@ from repro.generative.structure import (
 from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
-    make_privacy_test,
+    plausible_seed_count,
     theorem1_delta,
     theorem1_epsilon,
     theorem1_guarantee,
@@ -61,6 +62,7 @@ __all__ = [
     "check_rng_reproducibility",
     "check_batched_mechanism_parity",
     "reference_attempt",
+    "reference_candidate",
     "reference_propose",
     "check_accountant_conservation",
     "check_theorem1_bounds",
@@ -134,12 +136,13 @@ def check_engine_parity(
 
     Exactly one of ``num_attempts`` (fixed budget) or ``num_released``
     (until-N mode, optionally bounded by ``max_attempts``) selects the run
-    mode.  Pre-started pools can be passed via ``engines`` (their chunk and
-    batch sizes must match — the chunk grid is part of the RNG layout);
-    otherwise a fresh pool is started per entry of ``worker_counts``.  At
-    least one candidate beyond the serial reference is required — a call
-    that would compare nothing is rejected rather than passing vacuously.
-    Returns the serial reference report.
+    mode.  Pre-started pools can be passed via ``engines``, with any chunk
+    and batch sizes (attempts are counter-addressed, so neither may change
+    the run); otherwise a fresh pool is started per entry of
+    ``worker_counts`` on the reference's sizes.  At least one candidate
+    beyond the serial reference is required — a call that would compare
+    nothing is rejected rather than passing vacuously.  Returns the serial
+    reference report.
     """
     if (num_attempts is None) == (num_released is None):
         raise ValueError("pass exactly one of num_attempts / num_released")
@@ -158,26 +161,17 @@ def check_engine_parity(
         )
 
     def _check(candidate_engine: SynthesisEngine) -> None:
-        if candidate_engine.chunk_size != chunk_size:
-            raise ValueError(
-                f"candidate engine uses chunk_size={candidate_engine.chunk_size}, "
-                f"reference uses {chunk_size}; the chunk grid is part of the "
-                "run's RNG layout so parity is only defined on the same grid"
-            )
-        if candidate_engine.batch_size != batch_size:
-            raise ValueError(
-                f"candidate engine uses batch_size={candidate_engine.batch_size}, "
-                f"reference uses {batch_size}; the proposal batch size is part "
-                "of the run's RNG layout so parity is only defined on the same "
-                "batching"
-            )
         candidate = _engine_run(
             candidate_engine, base_seed, num_attempts, num_released, max_attempts
         )
         assert_reports_identical(
             reference,
             candidate,
-            context=f"{candidate_engine.num_workers}-worker engine vs serial",
+            context=(
+                f"{candidate_engine.num_workers}-worker engine (chunk "
+                f"{candidate_engine.chunk_size}, batch {candidate_engine.batch_size}) "
+                "vs serial"
+            ),
         )
 
     for engine in engines:
@@ -194,20 +188,20 @@ def check_engine_parity(
 
 
 def check_rng_reproducibility(
-    run: Callable[[np.random.Generator], SynthesisReport],
+    run: Callable[[AttemptStream], SynthesisReport],
     seed: int = 0,
     repeats: int = 2,
 ) -> SynthesisReport:
-    """Require ``run`` to be a pure function of its RNG seed.
+    """Require ``run`` to be a pure function of its base seed.
 
-    ``run`` receives a fresh ``default_rng(seed)`` each time; every repeat
+    ``run`` receives a fresh ``attempt_stream(seed)`` each time; every repeat
     must produce bit-identical accounting.  Returns the first report.
     """
     if repeats < 2:
         raise ValueError("repeats must be at least 2 to compare anything")
-    first = run(np.random.default_rng(seed))
+    first = run(attempt_stream(seed))
     for repeat in range(1, repeats):
-        again = run(np.random.default_rng(seed))
+        again = run(attempt_stream(seed))
         assert_reports_identical(
             first, again, context=f"repeat {repeat} with seed {seed}"
         )
@@ -221,94 +215,135 @@ def reference_attempt(
     mechanism: SynthesisMechanism,
     seed_index: int,
     candidate: np.ndarray,
-    rng: np.random.Generator,
+    words: AttemptWords,
 ) -> SynthesisReport:
     """The scalar oracle: one candidate's privacy test, as a 1-row block.
 
     Steps 3-4 of Mechanism 1 transcribed record by record: the model's
     probabilities of generating ``candidate`` from the true seed and from
-    every seed record, then the (k, γ) test on them.  No index, no batch.
+    every seed record, then the (k, γ) test on them, with the threshold
+    noise and the scan generator of the attempt ``words`` holds (a block of
+    one attempt).  No index, no batch.
     """
     seeds = mechanism.seed_dataset
     model = mechanism.model
+    params = mechanism.params
     seed_probability = model.seed_probability(seeds.record(seed_index), candidate)
     dataset_probabilities = model.batch_seed_probabilities(seeds.data, candidate)
-    result = make_privacy_test(mechanism.params)(
-        seed_probability, dataset_probabilities, rng
+    count, partition, checked, saturated = plausible_seed_count(
+        seed_probability,
+        dataset_probabilities,
+        params.gamma,
+        params.max_check_plausible,
+        params.max_plausible,
+        words.scan_rng(0),
     )
+    threshold = float(params.k)
+    if params.is_randomized:
+        threshold += float(words.laplace(1.0 / params.epsilon0)[0])
     return SynthesisReport(
         seeds.schema,
         {
             "seed_indices": [seed_index],
             "candidates": [candidate],
-            "passed": [result.passed],
-            "plausible_seeds": [result.plausible_seeds],
-            "partition_indices": [result.partition_index],
-            "thresholds": [result.threshold],
-            "records_checked": [result.records_checked],
-            "count_saturated": [result.count_saturated],
+            "passed": [count >= threshold],
+            "plausible_seeds": [count],
+            "partition_indices": [partition],
+            "thresholds": [threshold],
+            "records_checked": [checked],
+            "count_saturated": [saturated],
         },
     )
 
 
+def reference_candidate(model, seed: np.ndarray, words: AttemptWords) -> np.ndarray:
+    """Step 2 for one attempt, record by record: ω, then σ's re-sampled positions.
+
+    Reads the attempt's ω choice and one uniform per re-sampled σ position
+    from ``words`` (a block of one attempt) and inverts each conditional's
+    CDF at it, scaled onto the row's cumulative total.
+    """
+    schema = model.schema
+    m = len(schema)
+    omegas = model.omegas
+    omega = omegas[int(words.omega_indices(len(omegas))[0])] if len(omegas) > 1 else omegas[0]
+    record = np.array(seed, dtype=np.int64)
+    for position in range(m - omega, m):
+        attribute = model.structure.order[position]
+        table = model.tables[attribute]
+        parents = model.structure.parents[attribute]
+        parent_buckets = np.array(
+            [int(schema[p].bucketize(np.array([record[p]]))[0]) for p in parents],
+            dtype=np.int64,
+        )
+        cdf = np.cumsum(table.distribution(parent_buckets if parents else None))
+        uniform = words.position(position)[0] * cdf[-1]
+        record[attribute] = min(int(np.sum(cdf <= uniform)), table.cardinality - 1)
+    return record
+
+
 def reference_propose(
-    mechanism: SynthesisMechanism, rng: np.random.Generator
+    mechanism: SynthesisMechanism, stream: AttemptStream
 ) -> SynthesisReport:
     """One step of the paper's one-candidate loop (Mechanism 1, steps 1-4).
 
-    Samples a seed, generates a candidate from it with the model's scalar
-    ``generate`` and tests it with :func:`reference_attempt`.
+    Takes the next attempt's words from ``stream``, samples its seed,
+    generates its candidate with :func:`reference_candidate` and tests it
+    with :func:`reference_attempt`.
     """
-    seed_index = int(rng.integers(len(mechanism.seed_dataset)))
-    candidate = mechanism.model.generate(mechanism.seed_dataset.record(seed_index), rng)
-    return reference_attempt(mechanism, seed_index, candidate, rng)
+    seeds = mechanism.seed_dataset
+    words = stream.take(1, len(seeds.schema))
+    seed_index = int(words.seed_indices(len(seeds))[0])
+    candidate = reference_candidate(mechanism.model, seeds.record(seed_index), words)
+    return reference_attempt(mechanism, seed_index, candidate, words)
+
+
+#: How :func:`check_batched_mechanism_parity` names each report column.
+_COLUMN_LABELS = {
+    "seed_indices": "seed",
+    "candidates": "candidate",
+    "plausible_seeds": "plausible count",
+    "partition_indices": "partition",
+    "records_checked": "records_checked",
+    "count_saturated": "saturation flag",
+    "thresholds": "threshold",
+    "passed": "decision",
+}
 
 
 def check_batched_mechanism_parity(
     mechanism: SynthesisMechanism,
-    rng: np.random.Generator,
+    stream: AttemptStream,
     batch_size: int = 40,
 ) -> SynthesisReport:
-    """Require batched proposals to match single-record re-evaluation.
+    """Require a batched block to equal the scalar oracle on the same attempts.
 
-    Every attempt from :meth:`~repro.core.mechanism.SynthesisMechanism.propose_batch`
-    is re-run through the scalar oracle :func:`reference_attempt`.
-    Partition indices must always agree (a pure function of the candidate and
-    its seed).  Plausible-seed counts, scanned-record counts and the
-    ``count_saturated`` flag are compared unless ``max_check_plausible``
-    limits the scan (the scanned subset is then an independent rng draw on
-    each path, so they are distributionally but not pointwise equal).
-    Pass/fail decisions are additionally compared whenever the test is
-    deterministic and scans are unrestricted — including under
-    ``max_plausible`` (both paths cap identically).  Returns the batched
-    block.
+    The next ``batch_size`` attempts of ``stream`` run through
+    :meth:`~repro.core.mechanism.SynthesisMechanism.propose_batch`, and each
+    attempt index again through :func:`reference_propose`, which reads that
+    attempt's own words.  Every column must agree value for value: seed,
+    candidate, count, partition, scanned records, saturation, threshold and
+    decision — under the randomized test and the early-termination knobs
+    too, since each attempt's noise and scan generator are its own.
+    Returns the batched block.
     """
-    params = mechanism.params
-    compared = {"partition_indices": "partition"}
-    if params.max_check_plausible is None:
-        compared.update(
-            plausible_seeds="plausible count",
-            records_checked="records_checked",
-            count_saturated="saturation flag",
-        )
-        if not params.is_randomized:
-            compared["passed"] = "decision"
-    block = mechanism.propose_batch(batch_size, rng)
+    cursor = stream.at(stream.position)
+    block = mechanism.propose_batch(batch_size, stream)
     batched = block.to_arrays()
     reference = SynthesisReport.merged(
         block.schema,
-        [
-            reference_attempt(mechanism, int(seed_index), candidate, rng)
-            for seed_index, candidate in zip(batched["seed_indices"], batched["candidates"])
-        ],
+        [reference_propose(mechanism, cursor) for _ in range(batch_size)],
     ).to_arrays()
-    for name, label in compared.items():
-        differ = np.flatnonzero(batched[name] != reference[name])
+    for name, label in _COLUMN_LABELS.items():
+        differ = np.flatnonzero(
+            np.any((batched[name] != reference[name]).reshape(batch_size, -1), axis=1)
+        )
         if differ.size:
             index = int(differ[0])
             raise InvariantViolation(
-                f"attempt {index} (seed {batched['seed_indices'][index]}): batched "
-                f"{label} {batched[name][index]} != reference {reference[name][index]}"
+                f"attempt {cursor.position - batch_size + index} (seed "
+                f"{batched['seed_indices'][index]}): batched {label} "
+                f"{batched[name][index]} != reference {reference[name][index]}"
             )
     return block
 

@@ -106,6 +106,14 @@ class TestRngConstantSeed:
         )
         assert "rng-constant-seed" not in rules_fired(source)
 
+    def test_constant_attempt_stream_key_flagged(self):
+        # A base seed in scope does not excuse a literal key next to it.
+        source = (
+            "def release(mechanism, count, base_seed):\n"
+            "    return mechanism.run_attempts(count, attempt_stream(7))\n"
+        )
+        assert "rng-constant-seed" in rules_fired(source)
+
     def test_constant_seed_fine_in_tests(self):
         source = (
             "import numpy as np\n"
@@ -118,7 +126,7 @@ class TestRngConstantSeed:
 class TestRngMissingParam:
     #: repro functions that draw from an rng argument.
     REPRO_SAMPLERS = (
-        "laplace_noise", "laplace_mechanism", "sample_dirichlet_rows", "chunk_rng"
+        "laplace_noise", "laplace_mechanism", "sample_dirichlet_rows", "attempt_stream"
     )
 
     def test_hidden_stream_flagged(self):
@@ -140,10 +148,30 @@ class TestRngMissingParam:
         # `job.base_seed` is explicit plumbing even without a named parameter.
         source = (
             "def worker(job):\n"
-            "    gen = chunk_rng(job.base_seed, 0)\n"
-            "    return gen.normal()\n"
+            "    stream = attempt_stream(job.base_seed)\n"
+            "    return stream.take(8, 4)\n"
         )
         assert "rng-missing-param" not in rules_fired(source)
+
+    def test_attempt_stream_from_a_constant_key_flagged(self):
+        # A release drawn from a literal key ignores the caller's base seed:
+        # every call would re-release the same rows.
+        source = (
+            "def release(mechanism, count):\n"
+            "    return mechanism.run_attempts(count, attempt_stream(0))\n"
+        )
+        fired = rules_fired(source)
+        assert "rng-missing-param" in fired
+        assert "rng-constant-seed" in fired
+
+    def test_attempt_stream_from_the_callers_base_seed_clean(self):
+        source = (
+            "def release(mechanism, count, base_seed):\n"
+            "    return mechanism.run_attempts(count, attempt_stream(base_seed))\n"
+        )
+        fired = rules_fired(source)
+        assert "rng-missing-param" not in fired
+        assert "rng-constant-seed" not in fired
 
     def test_closure_inherits_enclosing_rng(self):
         source = (

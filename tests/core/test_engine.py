@@ -8,8 +8,9 @@ engine-specific lifecycle, progress and checkpointing coverage.
 import numpy as np
 import pytest
 
-from repro.core.engine import ChunkProgress, SynthesisEngine, chunk_rng
+from repro.core.engine import ChunkProgress, SynthesisEngine
 from repro.core.run_store import RunStore, RunStoreCorruptionError
+from repro.core.stream import STREAM_VERSION, attempt_stream
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 from repro.testing.invariants import (
     assert_reports_identical,
@@ -23,27 +24,10 @@ def params():
     return PlausibleDeniabilityParams(k=10, gamma=4.0, epsilon0=1.0)
 
 
-class TestChunkRng:
-    def test_matches_spawned_children(self):
-        parent = np.random.SeedSequence(42)
-        children = parent.spawn(3)
-        for index, child in enumerate(children):
-            expected = np.random.default_rng(child).integers(2**63, size=4)
-            actual = chunk_rng(42, index).integers(2**63, size=4)
-            assert np.array_equal(expected, actual)
-
-    def test_streams_differ_across_chunks_and_seeds(self):
-        draws = {
-            (seed, chunk): tuple(chunk_rng(seed, chunk).integers(2**63, size=4))
-            for seed in (0, 1) for chunk in (0, 1)
-        }
-        assert len(set(draws.values())) == 4
-
-
 class TestSerialEngine:
     def test_chunk_oracle_equivalence(self, unnoised_model, acs_splits, params):
         # The engine's chunks are exactly mechanism.run_attempts calls on the
-        # per-chunk RNG streams — the serial reference loop is the oracle.
+        # chunks' attempt ranges — and so is one run over all 40 attempts.
         from repro.core.mechanism import SynthesisMechanism
 
         with SynthesisEngine(
@@ -52,11 +36,12 @@ class TestSerialEngine:
             report = engine.run_attempts(40, base_seed=9)
         mechanism = SynthesisMechanism(unnoised_model, acs_splits.seeds, params)
         oracle = [
-            mechanism.run_attempts(size, chunk_rng(9, index), batch_size=8)
+            mechanism.run_attempts(size, attempt_stream(9, start=16 * index), batch_size=8)
             for index, size in enumerate((16, 16, 8))
         ]
         merged = oracle[0].merge(*oracle[1:])
         assert_reports_identical(merged, report)
+        assert_reports_identical(mechanism.run_attempts(40, attempt_stream(9)), report)
 
     def test_run_attempts_counts(self, unnoised_model, acs_splits, params):
         with SynthesisEngine(
@@ -260,9 +245,9 @@ class TestWorkerPoolParity:
         proposed = []
         propose_batch = SynthesisMechanism.propose_batch
 
-        def counting_propose_batch(mechanism, batch_size, rng):
+        def counting_propose_batch(mechanism, batch_size, stream):
             proposed.append(batch_size)
-            return propose_batch(mechanism, batch_size, rng)
+            return propose_batch(mechanism, batch_size, stream)
 
         monkeypatch.setattr(SynthesisMechanism, "propose_batch", counting_propose_batch)
         for base_seed, target in ((13, 12), (17, 5), (19, 21)):
@@ -392,29 +377,65 @@ class TestCheckpointing:
             with pytest.raises(ValueError):
                 engine.run_attempts(32, base_seed=6, run_id="sig")
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"chunk_size": 8}, {"batch_size": 4}],
-        ids=["chunk-size", "batch-size"],
-    )
-    def test_changed_rng_layout_rejects_resume(
-        self, unnoised_model, acs_splits, params, tmp_path, kwargs
+    def test_changed_chunk_grid_rejects_resume(
+        self, unnoised_model, acs_splits, params, tmp_path
     ):
-        # Chunk and batch sizes are part of a run's RNG layout; resuming a
-        # run id under a different grid would splice together incompatible
-        # chunk streams, so the signature check must reject it.
+        # The chunk size is the grid of a run's checkpoint files; resuming a
+        # run id under another grid would adopt chunk files as the wrong
+        # attempt ranges, so the signature check must reject it.
         store = RunStore(tmp_path / "store")
         with SynthesisEngine(
             unnoised_model, acs_splits.seeds, params,
             chunk_size=16, batch_size=8, run_store=store,
         ) as engine:
             engine.run_attempts(32, base_seed=5, run_id="layout")
-        changed = {"chunk_size": 16, "batch_size": 8, **kwargs}
         with SynthesisEngine(
-            unnoised_model, acs_splits.seeds, params, run_store=store, **changed
+            unnoised_model, acs_splits.seeds, params, run_store=store,
+            chunk_size=8, batch_size=8,
         ) as engine:
             with pytest.raises(ValueError, match="different job signature"):
                 engine.run_attempts(32, base_seed=5, run_id="layout")
+
+    def test_changed_batch_size_resumes_bit_identically(
+        self, unnoised_model, acs_splits, params, tmp_path
+    ):
+        # The batch size never changes an attempt, so it is not part of the
+        # signature: a resume under another batch size finishes the same run.
+        store = RunStore(tmp_path / "store")
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params,
+            chunk_size=16, batch_size=8, run_store=store,
+        ) as engine:
+            full = engine.run_attempts(48, base_seed=5, run_id="batch")
+        # A crash after the first chunk: the resume regenerates the other two.
+        for index in (1, 2):
+            (store.root / "runs" / "batch" / f"chunk_{index:08d}.npz").unlink()
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, run_store=store,
+            chunk_size=16, batch_size=3,
+        ) as engine:
+            resumed = engine.run_attempts(48, base_seed=5, run_id="batch")
+        assert_reports_identical(full, resumed)
+
+    def test_checkpoint_of_the_previous_stream_is_rejected(
+        self, unnoised_model, acs_splits, params, tmp_path
+    ):
+        # A run id checkpointed before attempts were counter-addressed carries
+        # a batch size and no stream version; its chunks hold other rows.
+        store = RunStore(tmp_path / "store")
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=16, run_store=store
+        ) as engine:
+            engine.run_attempts(32, base_seed=5, run_id="v1")
+        meta = store.load_run_meta("v1")
+        assert meta["stream"] == STREAM_VERSION
+        legacy = {key: value for key, value in meta.items() if key != "stream"}
+        store.save_run_meta("v1", {**legacy, "batch_size": 256})
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=16, run_store=store
+        ) as engine:
+            with pytest.raises(ValueError, match="different job signature"):
+                engine.run_attempts(32, base_seed=5, run_id="v1")
 
     def test_checkpoint_with_removed_approximate_key_rejected(
         self, unnoised_model, acs_splits, params, tmp_path

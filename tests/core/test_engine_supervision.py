@@ -224,8 +224,6 @@ class TestSwallowedChunkRequeue:
                 chunk_size=16,
                 batch_size=8,
                 lanes=(_Lane(limit=80, base_seed=3, target_released=None),),
-                plan=None,
-                completed=frozenset(),
             )
             # Chunks 0-3 claimed; 0 and 2 delivered, 3 executing on a live
             # worker, 1 swallowed by a crash; 4 never claimed.
@@ -268,8 +266,6 @@ class TestSwallowedChunkRequeue:
                 chunk_size=16,
                 batch_size=8,
                 lanes=(_Lane(limit=48, base_seed=3, target_released=None),),
-                plan=None,
-                completed=frozenset(),
             )
             engine._next_chunk.value = 2
             engine._chunk_retries = {1: 1}  # already crash-retried once
@@ -308,7 +304,7 @@ class TestPoolRebuild:
     def test_wedged_job_resumes_bit_identically_after_rebuild(
         self, unnoised_model, acs_splits, params
     ):
-        from repro.core.engine import _PoolStuckError, chunk_rng
+        from repro.core.engine import _PoolStuckError
 
         with SynthesisEngine(
             unnoised_model,
@@ -328,7 +324,7 @@ class TestPoolRebuild:
                     lane = job.lanes[0]
                     reports[0] = engine._mechanism().run_attempts(
                         job.chunk_attempts(0),
-                        chunk_rng(lane.base_seed, 0),
+                        lane.stream.at(0),
                         batch_size=job.batch_size,
                     )
                     raise _PoolStuckError("simulated wedge")

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.mechanism import SynthesisMechanism
+from repro.core.stream import attempt_stream
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 from repro.testing.invariants import reference_attempt, reference_propose
+
+
+@pytest.fixture()
+def stream():
+    """A fresh attempt stream per test."""
+    return attempt_stream(1234)
 
 
 @pytest.fixture(scope="module")
@@ -34,15 +41,15 @@ class TestConstruction:
 class TestReferenceOracle:
     """The scalar oracle of ``repro.testing`` (the paper's one-candidate loop)."""
 
-    def test_reference_propose_returns_valid_attempt(self, mechanism, rng):
-        attempt = reference_propose(mechanism, rng)
+    def test_reference_propose_returns_valid_attempt(self, mechanism, stream):
+        attempt = reference_propose(mechanism, stream)
         assert attempt.num_attempts == 1
         assert 0 <= attempt["seed_indices"][0] < len(mechanism.seed_dataset)
         assert attempt["candidates"].shape == (1, 11)
         assert attempt["plausible_seeds"][0] >= 0
 
-    def test_plausible_seed_count_counts_matching_records(self, mechanism, rng):
-        attempt = reference_propose(mechanism, rng)
+    def test_plausible_seed_count_counts_matching_records(self, mechanism, stream):
+        attempt = reference_propose(mechanism, stream)
         candidate = attempt["candidates"][0]
         # Recompute the plausible-seed count directly from the model.
         model = mechanism.model
@@ -59,68 +66,70 @@ class TestReferenceOracle:
         )[0]
         assert attempt["plausible_seeds"][0] == int(np.sum(partitions == seed_partition))
 
-    def test_reference_attempt_with_external_record(self, mechanism, rng):
+    def test_reference_attempt_with_external_record(self, mechanism, stream):
         candidate = mechanism.seed_dataset.record(0).copy()
-        attempt = reference_attempt(mechanism, 0, candidate, rng)
+        attempt = reference_attempt(mechanism, 0, candidate, stream.take(1, 11))
         assert attempt["seed_indices"].tolist() == [0]
         assert np.array_equal(attempt["candidates"], candidate[None, :])
 
 
 class TestRunAttempts:
-    def test_stops_at_target_released(self, mechanism, rng):
-        report = mechanism.run_attempts(1000, rng, stop_after_released=10)
+    def test_stops_at_target_released(self, mechanism, stream):
+        report = mechanism.run_attempts(1000, stream, stop_after_released=10)
         assert report.num_released == 10
         assert report["passed"][-1]  # cut right after the 10th release
 
-    def test_respects_attempt_budget(self, unnoised_model, acs_splits, rng):
+    def test_respects_attempt_budget(self, unnoised_model, acs_splits, stream):
         # Impossible parameters: k equal to the seed-set size cannot be met by
         # a seed-dependent candidate, so the mechanism must stop at the limit.
         params = PlausibleDeniabilityParams(k=len(acs_splits.seeds), gamma=4.0)
         mechanism = SynthesisMechanism(unnoised_model, acs_splits.seeds, params)
-        report = mechanism.run_attempts(20, rng, stop_after_released=5)
+        report = mechanism.run_attempts(20, stream, stop_after_released=5)
         assert report.num_attempts == 20
         assert report.num_released < 5
 
-    def test_zero_target_proposes_nothing(self, mechanism, rng):
-        report = mechanism.run_attempts(100, rng, stop_after_released=0)
+    def test_zero_target_proposes_nothing(self, mechanism, stream):
+        report = mechanism.run_attempts(100, stream, stop_after_released=0)
         assert report.num_attempts == 0
 
-    def test_negative_target_rejected(self, mechanism, rng):
+    def test_negative_target_rejected(self, mechanism, stream):
         with pytest.raises(ValueError):
-            mechanism.run_attempts(10, rng, stop_after_released=-1)
+            mechanism.run_attempts(10, stream, stop_after_released=-1)
 
-    def test_run_attempts_exact_count(self, mechanism, rng):
-        report = mechanism.run_attempts(25, rng)
+    def test_run_attempts_exact_count(self, mechanism, stream):
+        report = mechanism.run_attempts(25, stream)
         assert report.num_attempts == 25
 
-    def test_run_attempts_negative_rejected(self, mechanism, rng):
+    def test_run_attempts_negative_rejected(self, mechanism, stream):
         with pytest.raises(ValueError):
-            mechanism.run_attempts(-1, rng)
+            mechanism.run_attempts(-1, stream)
 
-    def test_released_records_satisfy_plausible_deniability(self, unnoised_model, acs_splits, rng):
+    def test_released_records_satisfy_plausible_deniability(
+        self, unnoised_model, acs_splits, stream
+    ):
         # Deterministic test: every released record must have at least k
         # plausible seeds (Definition 1 via the bucket criterion).
         params = PlausibleDeniabilityParams(k=15, gamma=4.0)
         mechanism = SynthesisMechanism(unnoised_model, acs_splits.seeds, params)
-        report = mechanism.run_attempts(40, rng)
+        report = mechanism.run_attempts(40, stream)
         assert np.all(report["plausible_seeds"][report["passed"]] >= 15)
 
     def test_lower_k_gives_higher_pass_rate(self, unnoised_model, acs_splits):
         lenient = SynthesisMechanism(
             unnoised_model, acs_splits.seeds, PlausibleDeniabilityParams(k=5, gamma=4.0)
-        ).run_attempts(60, np.random.default_rng(0))
+        ).run_attempts(60, attempt_stream(0))
         strict = SynthesisMechanism(
             unnoised_model, acs_splits.seeds, PlausibleDeniabilityParams(k=500, gamma=4.0)
-        ).run_attempts(60, np.random.default_rng(0))
+        ).run_attempts(60, attempt_stream(0))
         assert lenient.pass_rate >= strict.pass_rate
 
     def test_early_termination_knobs_do_not_release_implausible_records(
-        self, unnoised_model, acs_splits, rng
+        self, unnoised_model, acs_splits, stream
     ):
         params = PlausibleDeniabilityParams(
             k=10, gamma=4.0, max_plausible=10, max_check_plausible=2000
         )
         mechanism = SynthesisMechanism(unnoised_model, acs_splits.seeds, params)
-        report = mechanism.run_attempts(30, rng)
+        report = mechanism.run_attempts(30, stream)
         assert np.all(report["plausible_seeds"][report["passed"]] >= 10)
         assert np.all(report["records_checked"] <= 2000)

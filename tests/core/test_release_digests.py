@@ -3,9 +3,11 @@
 The golden registry (``repro.testing check``) has no ``bucket_map`` attribute
 and no ω above 6, so it cannot see a change to how the kernels bucketize,
 index configurations or sample at ACS scale.  These digests were recorded
-with the straightforward per-call kernels (commit 67f8b42); any change to the
+when attempts became counter-addressed (stream version 2); any change to the
 kernels must reproduce every released row, threshold and count bit for bit.
-The learned ``unnoised_model`` conditions on no bucketized attribute, so a
+Attempts are a pure function of (base seed, attempt index), so the same
+attempts proposed in batches of 1, 7 and 256 must give one digest.  The
+learned ``unnoised_model`` conditions on no bucketized attribute, so a
 hand-built network whose parents include SCHL (``bucket_map``) and AGEP/WKHP
 (``bucket_size``) covers bucketization, with a mixed ω set.
 """
@@ -16,14 +18,18 @@ import numpy as np
 
 from repro.core.mechanism import SynthesisMechanism
 from repro.core.results import COLUMNS
+from repro.core.stream import attempt_stream
 from repro.generative.bayesian_network import BayesianNetworkSynthesizer
 from repro.generative.parameters import ParameterLearner
 from repro.generative.structure import DependencyStructure
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 
-PROPOSE_BATCH_DIGEST = "4f596c38a6484524a8dbd42289cc81673364fb995eca7f8351e8d7c2e641c341"
-MIXED_OMEGA_DIGEST = "a6e90bbc7f9135ab0e5f4599cc72b923eb1c3d0d431d5d3e97c1a6a6e581315d"
-BUCKETIZED_PARENTS_DIGEST = "d05497fa4ec7246deb84e688b0ed9575bc2c861abdb613b79a8b1f3f69fed919"
+PROPOSE_BATCH_DIGEST = "fdd18ff8d16b84a919d7622e60ed12fec9a3b1de242a8d57d23ce573b92c758d"
+MIXED_OMEGA_DIGEST = "5825c19ed007bc452e52181081afbce8d8b3043a18580dc0879ee96343e639bd"
+BUCKETIZED_PARENTS_DIGESTS = (
+    "670b673608e02a31188cc8b8144aeae4a682b3b3ab9897f9c5c219952f3e6f92",
+    "61420460d445fb93ab337986c4068f834d2003e00263c0665d6e10da65adfe3d",
+)
 
 
 def _digest(arrays) -> str:
@@ -35,32 +41,41 @@ def _digest(arrays) -> str:
     return digest.hexdigest()
 
 
-def _propose_batch_columns(model, seeds, rng) -> list:
+#: Attempts each digest covers: a 1, 7 or 256 batch grid ends mid-batch.
+ATTEMPTS = 792
+
+
+def _propose_batch_digests(model, seeds, base_seed) -> dict[int, str]:
+    """Digest of the same attempts' columns, per proposal batch size."""
     # The randomized test, so the Laplace thresholds are part of the digest;
     # k = 200 rejects about a quarter of unnoised_model's candidates.
     params = PlausibleDeniabilityParams(k=200, gamma=4.0, epsilon0=1.0)
     mechanism = SynthesisMechanism(model, seeds, params)
-    columns = []
+    digests = {}
     for batch_size in (1, 7, 256):
-        for _ in range(3):
-            block = mechanism.propose_batch(batch_size, rng).to_arrays()
-            columns.extend(block[name] for name in COLUMNS)
-    return columns
+        stream = attempt_stream(base_seed)
+        blocks = []
+        while stream.position < ATTEMPTS:
+            size = min(batch_size, ATTEMPTS - stream.position)
+            blocks.append(mechanism.propose_batch(size, stream).to_arrays())
+        digests[batch_size] = _digest(
+            np.concatenate([block[name] for block in blocks]) for name in COLUMNS
+        )
+    return digests
 
 
 def test_propose_batch_blocks_match_pinned_digest(unnoised_model, acs_splits):
-    columns = _propose_batch_columns(
-        unnoised_model, acs_splits.seeds, np.random.default_rng(1501)
-    )
-    assert _digest(columns) == PROPOSE_BATCH_DIGEST
+    digests = _propose_batch_digests(unnoised_model, acs_splits.seeds, 1501)
+    assert digests == dict.fromkeys((1, 7, 256), PROPOSE_BATCH_DIGEST)
 
 
 def test_generate_batch_with_mixed_omegas_matches_pinned_digest(unnoised_model, acs_splits):
     seeds = acs_splits.seeds.data[:600]
     m = len(unnoised_model.schema)
-    rng = np.random.default_rng(1502)
-    omegas = rng.integers(0, m + 1, size=len(seeds))
-    records = unnoised_model.generate_batch(seeds, rng, omegas=omegas)
+    omegas = np.random.default_rng(1502).integers(0, m + 1, size=len(seeds))
+    records = unnoised_model.generate_batch(
+        seeds, attempt_stream(1502).take(len(seeds), m), omegas=omegas
+    )
     assert _digest([omegas, records]) == MIXED_OMEGA_DIGEST
 
 
@@ -82,9 +97,11 @@ def test_bucketized_parents_match_pinned_digest(acs_splits):
     )
     tables = ParameterLearner().learn(acs_splits.parameters, structure)
     model = BayesianNetworkSynthesizer(schema, structure, tables, omega=(4, 7, 11))
-    rng = np.random.default_rng(1503)
-    columns = _propose_batch_columns(model, acs_splits.seeds, rng)
+    digests = _propose_batch_digests(model, acs_splits.seeds, 1503)
+    assert len(set(digests.values())) == 1  # batch sizes 1, 7 and 256 agree
     seeds = acs_splits.seeds.data[:300]
-    columns.append(model.candidate_factor_suffix_products(seeds))
-    columns.append(model.generate_batch(seeds, rng))
-    assert _digest(columns) == BUCKETIZED_PARENTS_DIGEST
+    columns = [
+        model.candidate_factor_suffix_products(seeds),
+        model.generate_batch(seeds, attempt_stream(1504).take(len(seeds), len(schema))),
+    ]
+    assert (digests[1], _digest(columns)) == BUCKETIZED_PARENTS_DIGESTS

@@ -13,7 +13,14 @@ and must reject wrong shapes.
 import numpy as np
 import pytest
 
+from repro.core.stream import attempt_stream
+
 OMEGA = 9
+
+
+def _words(model, count):
+    """Attempt words for ``count`` seed rows."""
+    return attempt_stream(0).take(count, len(model.schema))
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +60,16 @@ def bad_rows(good_rows, column, bad_code):
 class TestRecordMatrixKernels:
     def test_generate_batch_rejects_out_of_domain_seeds(self, unnoised_model, bad_rows):
         with pytest.raises(ValueError, match="domain"):
-            unnoised_model.generate_batch(bad_rows, np.random.default_rng(0))
+            unnoised_model.generate_batch(bad_rows, _words(unnoised_model, len(bad_rows)))
 
     def test_generate_batch_with_explicit_omegas_rejects_out_of_domain_seeds(
         self, unnoised_model, bad_rows
     ):
         omegas = np.full(len(bad_rows), OMEGA)
         with pytest.raises(ValueError, match="domain"):
-            unnoised_model.generate_batch(bad_rows, np.random.default_rng(0), omegas=omegas)
+            unnoised_model.generate_batch(
+                bad_rows, _words(unnoised_model, len(bad_rows)), omegas=omegas
+            )
 
     def test_candidate_factor_suffix_products_rejects_out_of_domain(
         self, unnoised_model, bad_rows
@@ -132,10 +141,10 @@ class TestTableKernels:
 
 class TestShapes:
     def test_record_kernels_reject_wrong_shapes(self, unnoised_model, good_rows):
-        rng = np.random.default_rng(0)
+        words = _words(unnoised_model, len(good_rows))
         for rows in (good_rows[0], good_rows[:, :-1], good_rows[None]):
             with pytest.raises(ValueError, match="2-D"):
-                unnoised_model.generate_batch(rows, rng)
+                unnoised_model.generate_batch(rows, words)
             with pytest.raises(ValueError, match="2-D"):
                 unnoised_model.candidate_factor_suffix_products(rows)
             with pytest.raises(ValueError, match="2-D"):
@@ -148,16 +157,25 @@ class TestShapes:
                 unnoised_model.batch_probability_matrix(rows, good_rows)
 
     def test_generate_batch_rejects_bad_explicit_omegas(self, unnoised_model, good_rows):
-        rng = np.random.default_rng(0)
+        words = _words(unnoised_model, len(good_rows))
         m = len(unnoised_model.schema)
         for omegas in (np.full(len(good_rows) - 1, OMEGA), np.full((len(good_rows), 1), OMEGA)):
             with pytest.raises(ValueError, match="one value per seed row"):
-                unnoised_model.generate_batch(good_rows, rng, omegas=omegas)
+                unnoised_model.generate_batch(good_rows, words, omegas=omegas)
         for bad in (-1, m + 1):
             omegas = np.full(len(good_rows), OMEGA)
             omegas[3] = bad
             with pytest.raises(ValueError, match="omega values"):
-                unnoised_model.generate_batch(good_rows, rng, omegas=omegas)
+                unnoised_model.generate_batch(good_rows, words, omegas=omegas)
+
+    def test_generate_batch_rejects_words_of_another_shape(self, unnoised_model, good_rows):
+        # One attempt per seed row, laid out for this model's attributes.
+        for words in (
+            _words(unnoised_model, len(good_rows) - 1),
+            attempt_stream(0).take(len(good_rows), len(unnoised_model.schema) - 1),
+        ):
+            with pytest.raises(ValueError, match="attempt per seed row"):
+                unnoised_model.generate_batch(good_rows, words)
 
     def test_omega_arguments_are_range_checked(self, unnoised_model, good_rows):
         m = len(unnoised_model.schema)
@@ -183,6 +201,6 @@ class TestShapes:
         # The largest valid code of every attribute passes every check.
         schema = unnoised_model.schema
         corner = np.array([[a.cardinality - 1 for a in schema], [0] * len(schema)])
-        unnoised_model.generate_batch(corner, np.random.default_rng(0))
+        unnoised_model.generate_batch(corner, _words(unnoised_model, 2))
         unnoised_model.candidate_factor_suffix_products(corner)
         assert unnoised_model.fixed_prefix_keys(corner, OMEGA).shape == (2,)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.mechanism import SynthesisMechanism
+from repro.core.stream import attempt_stream
 from repro.datasets.schema import Attribute
 from repro.generative.parameters import ConditionalParameters
 from repro.testing.scenarios import get_scenario
@@ -23,17 +24,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_model_pickled_by_older_code_releases_the_recorded_rows():
-    # Both fixture files were written at commit 67f8b42, whose objects pickled
-    # their whole __dict__ and held no derived lookup arrays: the
-    # toy-correlated scenario's fit (seed 0), and the rows run_attempts
-    # released from it.
+    # The pickle was written at commit 67f8b42, whose objects pickled their
+    # whole __dict__ and held no derived lookup arrays: the toy-correlated
+    # scenario's fit (seed 0).  The JSON holds the rows run_attempts releases
+    # from it on one base seed's attempt stream (recorded when attempts
+    # became counter-addressed, with the model freshly fitted by that code).
     payload = pickle.loads((FIXTURES / "toy_correlated_model.pkl").read_bytes())
     expected = json.loads((FIXTURES / "toy_correlated_released.json").read_text())
     params = get_scenario("toy-correlated").privacy_params()
     mechanism = SynthesisMechanism(payload["model"], payload["seeds"], params)
     report = mechanism.run_attempts(
         expected["attempts"],
-        np.random.default_rng(expected["rng_seed"]),
+        attempt_stream(expected["base_seed"]),
         batch_size=expected["batch_size"],
     )
     assert report.released_dataset().data.tolist() == expected["released"]
@@ -54,11 +56,10 @@ def test_unpickled_model_generates_the_same_rows(unnoised_model, acs_splits):
     seeds = acs_splits.seeds.data[:200]
     m = len(unnoised_model.schema)
     omegas = np.random.default_rng(3).integers(0, m + 1, size=len(seeds))
+    words = attempt_stream(4).take(len(seeds), m)
     for model_omegas in (None, omegas):
-        expected = unnoised_model.generate_batch(
-            seeds, np.random.default_rng(4), omegas=model_omegas
-        )
-        actual = clone.generate_batch(seeds, np.random.default_rng(4), omegas=model_omegas)
+        expected = unnoised_model.generate_batch(seeds, words, omegas=model_omegas)
+        actual = clone.generate_batch(seeds, words, omegas=model_omegas)
         assert np.array_equal(actual, expected)
     assert np.array_equal(
         clone.candidate_factor_suffix_products(seeds),

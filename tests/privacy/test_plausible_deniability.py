@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.privacy.laplace import laplace_noise
+from repro.core.stream import attempt_stream
 from repro.privacy.plausible_deniability import (
     DeterministicPrivacyTest,
     PlausibleDeniabilityParams,
@@ -235,35 +235,40 @@ class TestRandomizedTest:
         thresholds = {test(0.4, np.full(20, 0.4), rng).threshold for _ in range(20)}
         assert len(thresholds) > 1
 
-    def test_results_from_counts_draws_one_threshold_per_candidate(self):
-        # One size-n Laplace(1/ε0) draw at the current stream position, and
-        # nothing else: the stream afterwards sits exactly past that draw.
+    def test_results_from_counts_reads_each_attempts_own_noise(self):
+        # Each candidate's threshold is k plus the Laplace(1/ε0) noise in its
+        # attempt's own word, whatever block the attempt sits in.
         params = PlausibleDeniabilityParams(k=10, gamma=2.0, epsilon0=0.5)
         counts = np.array([4, 10, 12, 30, 9])
-        rng = np.random.default_rng(17)
+        words = attempt_stream(17).take(5, 4)
         results = RandomizedPrivacyTest(params).results_from_counts(
-            counts, np.zeros(5, dtype=np.int64), np.full(5, 40), rng
+            counts, np.zeros(5, dtype=np.int64), np.full(5, 40), words
         )
-        reference = np.random.default_rng(17)
-        expected = params.k + laplace_noise(2.0, reference, size=5)
+        expected = params.k + words.laplace(2.0)
         assert results["thresholds"].tolist() == expected.tolist()
         assert results["passed"].tolist() == (counts >= expected).tolist()
-        assert rng.random() == reference.random()
+        singles = [attempt_stream(17, start=i).take(1, 4).laplace(2.0)[0] for i in range(5)]
+        assert expected.tolist() == [params.k + single for single in singles]
+        with pytest.raises(ValueError, match="one attempt per count"):
+            RandomizedPrivacyTest(params).results_from_counts(
+                counts, np.zeros(5, dtype=np.int64), np.full(5, 40),
+                words=attempt_stream(17).take(4, 4),
+            )
 
-    def test_run_batch_draws_thresholds_after_the_counts(self, rng):
+    def test_run_batch_reads_the_thresholds_the_counts_path_reads(self, rng):
         # The dense scan and the prefix-key index both reach the thresholds
         # through results_from_counts, so equal counts give equal results
-        # from the same stream.
+        # from the same attempts.
         params = PlausibleDeniabilityParams(k=10, gamma=2.0, epsilon0=1.0)
         test = RandomizedPrivacyTest(params)
         matrix = rng.random((12, 60)) * rng.integers(0, 2, size=(12, 60))
         seed_probabilities = np.clip(matrix.max(axis=1), 1e-9, 1.0)
-        batched = test.run_batch(seed_probabilities, matrix, np.random.default_rng(3))
+        batched = test.run_batch(seed_probabilities, matrix, attempt_stream(3).take(12, 4))
         counts, partitions, checked, saturated = batch_plausible_seed_counts(
             seed_probabilities, matrix, params.gamma
         )
         from_counts = test.results_from_counts(
-            counts, partitions, checked, np.random.default_rng(3), saturated=saturated
+            counts, partitions, checked, attempt_stream(3).take(12, 4), saturated=saturated
         )
         assert list(batched) == list(from_counts)
         for name in batched:

@@ -140,7 +140,13 @@ class TestGenerateFolded:
         """A worker SIGKILLed mid-folded-batch: the retry path keeps every
         lane bit-identical to its serial unfolded ground truth."""
         expected = _serial_reports(unnoised_model, acs_splits, params, FOLD_SPECS)
-        fault = KillWorkerAtChunk(chunk_index=1, marker_dir=str(tmp_path), times=1)
+        # A fold dispatches its lanes' chunks one lane after the other, so
+        # lane 1's first chunk (always executed) follows lane 0's 100-per-row
+        # attempt budget in 16-attempt chunks.
+        lane_1_first_chunk = -(-100 * FOLD_SPECS[0].num_released // 16)
+        fault = KillWorkerAtChunk(
+            chunk_index=lane_1_first_chunk, marker_dir=str(tmp_path), times=1
+        )
         with _engine(
             unnoised_model,
             acs_splits,

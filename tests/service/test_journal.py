@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import ModelRegistry, ServiceApp
+from repro.core.stream import STREAM_VERSION
+from repro.service import ModelRegistry, ServiceApp, ServiceError
 from repro.service.journal import (
     BudgetJournal,
     JournalCorruptionError,
@@ -223,6 +224,8 @@ class TestIdempotency:
             assert replayed.release_id == first.release_id
             assert_reports_identical(first.report, replayed.report)
             assert app.budget(session_id)["spent"] == spent
+        releases = [event for event in read_journal(journal) if event["event"] == "release"]
+        assert [event["stream"] for event in releases] == [STREAM_VERSION]
 
     def test_keys_are_scoped_per_session(self, tmp_path):
         with make_app(tmp_path / "journal.jsonl") as app:
@@ -240,7 +243,8 @@ class TestIdempotency:
 #: toy-correlated model (fit seed 5): an exact session ``s00001`` and a
 #: session ``s00002`` opened with ``"accuracy": "approximate"``, each with
 #: one idempotent release (keys ``e1`` and ``a1``).  The approximate
-#: session's releases name that variant's engine in ``engine_key``.
+#: session's releases name that variant's engine in ``engine_key``.  Its
+#: releases predate counter-addressed attempts: they carry no ``stream``.
 LEGACY_JOURNAL = Path(__file__).parent / "fixtures" / "journal_with_approximate_session.jsonl"
 
 
@@ -259,7 +263,8 @@ class TestLegacyAccuracyJournal:
         "s00001": {"rows": 7, "epsilon": 46.83557529051502, "delta": None},
         "s00002": {"rows": 6, "epsilon": 53.671150581030034, "delta": 0.49925954117547994},
     }
-    #: (session, idempotency key, release id, seed, rows) -> released rows.
+    #: (session, idempotency key, release id, seed, rows) -> the rows the
+    #: recording server released (attempt-stream version 1).
     RELEASES = {
         ("s00001", "e1", "rel000001", 7, 3): [[15, 2, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]],
         ("s00002", "a1", "rel000002", 5, 4): [
@@ -307,12 +312,58 @@ class TestLegacyAccuracyJournal:
                 check_accountant_conservation(app._session(session_id).accountant)
 
     @pytest.mark.parametrize("release", sorted(RELEASES), ids=lambda r: r[1])
-    def test_idempotent_retry_returns_the_recorded_rows_for_free(self, tmp_path, release):
+    def test_idempotent_retry_of_a_version_1_release_is_refused_for_free(
+        self, tmp_path, release
+    ):
+        # Regenerating from the journaled seed would draw other rows than the
+        # ones recorded above, a second release the tenant never paid for:
+        # the retry is refused, with no spend and no rows.
         session_id, key, release_id, seed, rows = release
+        assert all(
+            "stream" not in event
+            for event in read_journal(LEGACY_JOURNAL)
+            if event["event"] == "release"
+        )
         with self.make_app(tmp_path) as app:
             spent = app.budget(session_id)["spent"]
-            record = app.generate(session_id, rows=rows, seed=seed, idempotency_key=key)
-            assert record.release_id == release_id
-            assert record.report.released_dataset().data.tolist() == self.RELEASES[release]
+            with pytest.raises(ServiceError) as refused:
+                app.generate(session_id, rows=rows, seed=seed, idempotency_key=key)
+            assert (refused.value.status, refused.value.code) == (410, "release_not_regenerable")
+            assert refused.value.payload == {"release_id": release_id}
             assert app.budget(session_id)["spent"] == spent
             assert spent == pytest.approx(self.SPENT[session_id], rel=1e-12)
+            with pytest.raises(ServiceError, match="unknown"):
+                app.release(release_id)
+
+    def test_refusal_is_an_http_410(self, tmp_path):
+        import threading
+        import urllib.error
+        import urllib.request
+
+        from repro.service import build_server
+
+        with self.make_app(tmp_path) as app:
+            server = build_server(app, host="127.0.0.1", port=0)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            try:
+                host, port = server.server_address[:2]
+                request = urllib.request.Request(
+                    f"http://{host}:{port}/generate",
+                    data=json.dumps(
+                        {"session": "s00001", "rows": 3, "seed": 7, "idempotency_key": "e1"}
+                    ).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                with pytest.raises(urllib.error.HTTPError) as refused:
+                    urllib.request.urlopen(request, timeout=60)
+                assert refused.value.code == 410
+                body = json.load(refused.value)
+                assert (body["code"], body["release_id"]) == (
+                    "release_not_regenerable", "rel000001"
+                )
+            finally:
+                server.shutdown()
+                server.server_close()
+                thread.join(timeout=10)
+            assert not thread.is_alive()

@@ -37,7 +37,7 @@ class TestBuildConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             build_config({"not_a_key": 1}, num_attributes=11)
 
-    @pytest.mark.parametrize("key,hint", [("batch_size", "256"), ("workers", "1")])
+    @pytest.mark.parametrize("key,hint", [("batch_size", "2048"), ("workers", "1")])
     def test_null_engine_knob_rejected(self, key, hint):
         # null no longer selects a serial or per-record path; the message
         # names the integer to use instead.
@@ -47,7 +47,7 @@ class TestBuildConfig:
     def test_engine_knobs_default_to_one_in_process_path(self):
         config = build_config({}, num_attributes=11)
         assert config.num_workers == 1
-        assert config.batch_size == 256
+        assert (config.batch_size, config.chunk_size) == (2048, 2048)
 
     def test_removed_approximate_key_rejected(self):
         # Config files that still select the removed approximate privacy

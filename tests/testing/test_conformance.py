@@ -9,9 +9,9 @@ checkers end to end.  Cells are marked ``conformance``; a small subset
 the plain test suite.
 """
 
-import numpy as np
 import pytest
 
+from repro.core.stream import attempt_stream
 from repro.testing.invariants import (
     check_accountant_conservation,
     check_batched_mechanism_parity,
@@ -88,15 +88,15 @@ def test_scenario_matrix_cell(name, engine, workers, seed):
         ) as serial_engine:
             reference = serial_engine.run_attempts(scenario.attempts, base_seed=seed)
         check_rng_reproducibility(
-            lambda rng: fit.pipeline.mechanism.run_attempts(
-                scenario.chunk_size, rng, batch_size=scenario.batch_size
+            lambda stream: fit.pipeline.mechanism.run_attempts(
+                scenario.chunk_size, stream, batch_size=scenario.batch_size
             ),
             seed=seed,
         )
         check_theorem1_bounds(reference, fit.params, num_seed_records=len(fit.seeds))
         check_batched_mechanism_parity(
             fit.pipeline.mechanism,
-            np.random.default_rng(seed),
+            attempt_stream(seed),
             batch_size=scenario.batch_size,
         )
         check_accountant_conservation(fit.accountant)

@@ -14,8 +14,8 @@ the released-rows and privacy-ledger digests computed with the golden-store
 recipes.
 
 Identical Privacy Test 2 thresholds pin the randomness discipline: both paths
-draw the per-candidate Laplace thresholds at the same stream position, so
-neither can shift the candidates that follow.
+read each attempt's Laplace threshold from that attempt's own words, so
+neither can shift another attempt's draws.
 
 The index only applies without scan knobs, so each cell strips the
 scenario's knobs; the subset-scan cells then set budgets that provably cannot
@@ -30,6 +30,7 @@ import pytest
 from repro.core.mechanism import SynthesisMechanism
 from repro.core.pipeline import SynthesisPipeline
 from repro.core.run_store import RunStore
+from repro.core.stream import attempt_stream
 from repro.testing.scenarios import get_scenario, scenario_names
 
 MODES = ("deterministic", "randomized")
@@ -66,7 +67,7 @@ def _params(name: str, mode: str, max_check_plausible=None, max_plausible=None):
 def _run(name: str, mechanism: SynthesisMechanism):
     scenario = get_scenario(name)
     return mechanism.run_attempts(
-        scenario.attempts, np.random.default_rng(7), batch_size=scenario.batch_size
+        scenario.attempts, attempt_stream(7), batch_size=scenario.batch_size
     )
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.results import SynthesisReport
+from repro.core.stream import attempt_stream
 from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
@@ -43,14 +44,14 @@ class TestReportComparison:
     def test_identical_reports_pass(self, tiny_fit):
         scenario = tiny_fit.scenario
         report = tiny_fit.pipeline.mechanism.run_attempts(
-            16, np.random.default_rng(0), batch_size=scenario.batch_size
+            16, attempt_stream(0), batch_size=scenario.batch_size
         )
         assert_reports_identical(report, report)
         assert sum(report_accounting(report)["passed"]) == report.num_released
 
     def test_single_flipped_cell_detected(self, tiny_fit):
         report = tiny_fit.pipeline.mechanism.run_attempts(
-            16, np.random.default_rng(0), batch_size=4
+            16, attempt_stream(0), batch_size=4
         )
         with pytest.raises(InvariantViolation, match="candidates"):
             assert_reports_identical(report, _mutated_report(report))
@@ -82,77 +83,76 @@ class TestEngineParityChecker:
         with pytest.raises(ValueError, match="exactly one"):
             check_engine_parity(tiny_fit.model, tiny_fit.seeds, tiny_fit.params)
 
-    def test_rejects_mismatched_chunk_grid(self, tiny_fit):
-        from repro.core.engine import SynthesisEngine
-
-        with SynthesisEngine(
-            tiny_fit.model, tiny_fit.seeds, tiny_fit.params, chunk_size=32
-        ) as engine:
-            with pytest.raises(ValueError, match="chunk grid"):
-                check_engine_parity(
-                    tiny_fit.model, tiny_fit.seeds, tiny_fit.params,
-                    num_attempts=8, chunk_size=16, engines=[engine],
-                )
-
-    def test_rejects_mismatched_batch_size(self, tiny_fit):
-        # Batch size is part of the RNG layout too; a correct engine on a
-        # different batching must be rejected up front, not reported as a
-        # parity violation.
+    @pytest.mark.parametrize("chunk_size,batch_size", [(32, 8), (16, 4), (5, 3)])
+    def test_other_chunk_grids_and_batch_sizes_are_compared(
+        self, tiny_fit, chunk_size, batch_size
+    ):
+        # Attempts are counter-addressed, so an engine on another chunk grid
+        # or batching is a valid candidate and must reproduce the reference.
         from repro.core.engine import SynthesisEngine
 
         with SynthesisEngine(
             tiny_fit.model, tiny_fit.seeds, tiny_fit.params,
-            chunk_size=16, batch_size=4,
+            chunk_size=chunk_size, batch_size=batch_size,
         ) as engine:
-            with pytest.raises(ValueError, match="batch_size"):
+            for mode in ({"num_attempts": 40}, {"num_released": 6, "max_attempts": 400}):
                 check_engine_parity(
-                    tiny_fit.model, tiny_fit.seeds, tiny_fit.params,
-                    num_attempts=8, chunk_size=16, batch_size=8, engines=[engine],
+                    tiny_fit.model, tiny_fit.seeds, tiny_fit.params, base_seed=4,
+                    chunk_size=16, batch_size=8, engines=[engine], **mode,
                 )
 
 
 class TestRngReproducibilityChecker:
     def test_pure_run_passes(self, tiny_fit):
-        def run(rng):
-            return tiny_fit.pipeline.mechanism.run_attempts(12, rng, batch_size=4)
+        def run(stream):
+            return tiny_fit.pipeline.mechanism.run_attempts(12, stream, batch_size=4)
 
         report = check_rng_reproducibility(run, seed=9)
         assert report.num_attempts == 12
 
     def test_impure_run_detected(self, tiny_fit):
-        shared_rng = np.random.default_rng(0)
+        shared_stream = attempt_stream(0)
 
-        def impure_run(rng):
-            # Ignores the checker-provided rng: consumes a shared stream, so
-            # every repeat sees different candidates.
-            return tiny_fit.pipeline.mechanism.run_attempts(12, shared_rng, batch_size=4)
+        def impure_run(stream):
+            # Ignores the checker-provided stream: advances a shared cursor,
+            # so every repeat sees different attempts.
+            return tiny_fit.pipeline.mechanism.run_attempts(12, shared_stream, batch_size=4)
 
         with pytest.raises(InvariantViolation, match="repeat 1"):
             check_rng_reproducibility(impure_run, seed=9)
 
     def test_requires_two_repeats(self, tiny_fit):
         with pytest.raises(ValueError, match="at least 2"):
-            check_rng_reproducibility(lambda rng: None, repeats=1)
+            check_rng_reproducibility(lambda stream: None, repeats=1)
 
 
 class TestBatchedParityChecker:
     def test_conforming_mechanism_passes(self, tiny_fit):
         attempts = check_batched_mechanism_parity(
-            tiny_fit.pipeline.mechanism, np.random.default_rng(3), batch_size=20
+            tiny_fit.pipeline.mechanism, attempt_stream(3), batch_size=20
         )
         assert attempts.num_attempts == 20
 
-    def test_limited_scan_counts_are_not_compared(self):
-        # Under max_check_plausible each path draws its own random scan
-        # subset, so pointwise count equality does not hold for correct code;
-        # the checker must only compare the (pure) partition indices.
+    def test_limited_scan_counts_are_compared(self, monkeypatch):
+        # Under max_check_plausible both paths scan the subset drawn from the
+        # attempt's own scan generator, so counts must agree pointwise — and
+        # a scan that ignores it must be caught.
         from repro.core.mechanism import SynthesisMechanism
+        from repro.core.stream import AttemptWords
         from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 
         fit = get_scenario("high-cardinality").fit(seed=0)
         params = PlausibleDeniabilityParams(k=8, gamma=4.0, max_check_plausible=30)
         mechanism = SynthesisMechanism(fit.model, fit.seeds, params)
-        check_batched_mechanism_parity(mechanism, np.random.default_rng(0), batch_size=20)
+        attempts = check_batched_mechanism_parity(mechanism, attempt_stream(0), batch_size=20)
+        assert np.all(attempts["records_checked"] == 30)
+        # A scan keyed by the row within its batch, not by the attempt: the
+        # oracle's one-attempt blocks all scan row 0's subset.
+        monkeypatch.setattr(
+            AttemptWords, "scan_rng", lambda words, row: np.random.default_rng(row)
+        )
+        with pytest.raises(InvariantViolation, match="plausible count"):
+            check_batched_mechanism_parity(mechanism, attempt_stream(0), batch_size=20)
 
     def test_broken_fast_counts_detected(self, tiny_fit, monkeypatch):
         mechanism = tiny_fit.pipeline.mechanism
@@ -167,7 +167,7 @@ class TestBatchedParityChecker:
         monkeypatch.setattr(type(mechanism), "_fast_batch_counts", off_by_one)
         with pytest.raises(InvariantViolation, match="plausible count"):
             check_batched_mechanism_parity(
-                mechanism, np.random.default_rng(3), batch_size=10
+                mechanism, attempt_stream(3), batch_size=10
             )
 
     @staticmethod
@@ -186,7 +186,7 @@ class TestBatchedParityChecker:
     def test_conforming_dense_scan_passes(self, monkeypatch):
         mechanism = self._dense_scan_mechanism(monkeypatch)
         attempts = check_batched_mechanism_parity(
-            mechanism, np.random.default_rng(3), batch_size=12
+            mechanism, attempt_stream(3), batch_size=12
         )
         assert attempts.num_attempts == 12
         assert mechanism._match_index is None
@@ -197,14 +197,14 @@ class TestBatchedParityChecker:
         mechanism = self._dense_scan_mechanism(monkeypatch)
         original = DeterministicPrivacyTest.run_batch
 
-        def off_by_one(self, seed_probabilities, probability_matrix, rng):
-            columns = original(self, seed_probabilities, probability_matrix, rng)
+        def off_by_one(self, seed_probabilities, probability_matrix, words):
+            columns = original(self, seed_probabilities, probability_matrix, words)
             return {**columns, "plausible_seeds": columns["plausible_seeds"] + 1}
 
         monkeypatch.setattr(DeterministicPrivacyTest, "run_batch", off_by_one)
         with pytest.raises(InvariantViolation, match="plausible count"):
             check_batched_mechanism_parity(
-                mechanism, np.random.default_rng(3), batch_size=10
+                mechanism, attempt_stream(3), batch_size=10
             )
 
     def test_saturation_and_scan_alignment_compared(self):
@@ -218,7 +218,7 @@ class TestBatchedParityChecker:
         params = dataclasses.replace(fit.params, max_plausible=4)
         mechanism = SynthesisMechanism(fit.model, fit.seeds, params)
         attempts = check_batched_mechanism_parity(
-            mechanism, np.random.default_rng(5), batch_size=12
+            mechanism, attempt_stream(5), batch_size=12
         )
         assert attempts["count_saturated"].any()
 
@@ -231,14 +231,14 @@ class TestBatchedParityChecker:
         mechanism = SynthesisMechanism(fit.model, fit.seeds, params)
         original = DeterministicPrivacyTest.run_batch
 
-        def flipped_saturation(self, seed_probabilities, probability_matrix, rng):
-            columns = original(self, seed_probabilities, probability_matrix, rng)
+        def flipped_saturation(self, seed_probabilities, probability_matrix, words):
+            columns = original(self, seed_probabilities, probability_matrix, words)
             return {**columns, "count_saturated": ~columns["count_saturated"]}
 
         monkeypatch.setattr(DeterministicPrivacyTest, "run_batch", flipped_saturation)
         with pytest.raises(InvariantViolation, match="saturation"):
             check_batched_mechanism_parity(
-                mechanism, np.random.default_rng(5), batch_size=12
+                mechanism, attempt_stream(5), batch_size=12
             )
 
 
@@ -290,7 +290,7 @@ class TestTheorem1Checker:
 
     def test_real_run_passes(self, tiny_fit):
         report = tiny_fit.pipeline.mechanism.run_attempts(
-            24, np.random.default_rng(1), batch_size=4
+            24, attempt_stream(1), batch_size=4
         )
         check_theorem1_bounds(report, tiny_fit.params, num_seed_records=len(tiny_fit.seeds))
 
@@ -336,7 +336,7 @@ class TestTheorem1Checker:
     def test_randomized_threshold_semantics(self):
         fit = get_scenario("toy-correlated").fit(seed=0)
         report = fit.pipeline.mechanism.run_attempts(
-            24, np.random.default_rng(2), batch_size=8
+            24, attempt_stream(2), batch_size=8
         )
         check_theorem1_bounds(report, fit.params, num_seed_records=len(fit.seeds))
 

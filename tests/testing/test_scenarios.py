@@ -166,6 +166,7 @@ class TestAtScale:
         count lands near seeds / 20 = 55); the retuned k must keep the
         service benchmark releasing rows."""
         from repro.core.pipeline import SynthesisPipeline
+        from repro.core.stream import attempt_stream
         from repro.datasets.dataset import Dataset
 
         scenario = get_scenario("toy-correlated").at_scale(2000)
@@ -176,9 +177,7 @@ class TestAtScale:
             dataset, config=scenario.config(), rng=np.random.default_rng(2)
         )
         pipeline.fit()
-        report = pipeline.mechanism.run_attempts(
-            64, np.random.default_rng(5), batch_size=16
-        )
+        report = pipeline.mechanism.run_attempts(64, attempt_stream(5), batch_size=16)
         assert report["passed"].sum() > 0
 
 
