@@ -11,11 +11,14 @@ service all go through it — and is a long-lived execution layer:
   attach zero-copy read-only views at startup.  Only a small skeleton spec
   (schema, structure, array offsets) is pickled, once, when the pool starts.
 
-* **Dynamic until-N dispatch.**  Work is claimed as fixed-size chunks from a
-  shared counter, so fast workers steal load instead of idling behind a
-  static split.  In until-N-released mode a shared released counter stops
-  workers within about one chunk of the target instead of burning a static
-  attempt budget, and no chunk computes past the lane's target itself.
+* **Parent-assigned chunks.**  Each worker has one ``multiprocessing.Pipe``
+  to the parent and holds at most one assignment: a chunk's job id, index,
+  lane seed, attempt range, batch size and lane target.  The parent sends a
+  worker its next chunk as soon as it has read that worker's result, so
+  fast workers take more chunks instead of idling behind a static split.
+  Requeued chunks go first.  In until-N-released mode a lane's unassigned
+  chunks are skipped once its received chunks hold its target, and no chunk
+  computes past the lane's target itself.
 
 * **Counter-addressed attempts.**  Every draw of attempt i is a function of
   (base seed, i, slot) (:mod:`repro.core.stream`), and chunk c of a lane is
@@ -30,8 +33,8 @@ service all go through it — and is a long-lived execution layer:
 
 * **Request folding.**  :meth:`SynthesisEngine.generate_folded` fuses many
   until-N requests into ONE pool job: each request becomes a *lane* with its
-  own stream, attempt budget and release target, and the lanes' chunks are
-  dispatched one lane after the other from one shared counter.  Because a
+  own stream, attempt budget and release target, and the parent assigns the
+  lanes' chunks one lane after the other.  Because a
   chunk's content is a pure function of (lane seed, attempt range), every
   lane's merged report is bit-identical to running that request alone —
   folding changes only *when* chunks run, never what they contain.  The
@@ -45,18 +48,20 @@ service all go through it — and is a long-lived execution layer:
   travel and are stored as report columns (``to_arrays``), which the parent
   adopts without copying; malformed stored columns fail the resume loudly.
 
-* **Worker supervision with deterministic chunk retry.**  Each worker
-  records the chunk it is executing in a crash-proof shared in-flight table
-  before touching it.  When the parent's collection loop notices a dead
-  process (exitcode watch), it respawns a replacement against the *existing*
-  shared-memory segments, re-dispatches the current job to it, and queues
-  the lost chunk for re-execution — which is bit-identical to the lost run
-  because a chunk's content is a pure function of its index.  Retries are
-  bounded by ``max_chunk_retries``; past the bound the job fails with
-  :class:`ChunkRetryExhaustedError` while the pool (already repaired) stays
-  usable.  An unrepairable pool — a worker lost during startup, or a respawn
-  that itself fails — marks the engine broken and every subsequent call
-  raises :class:`EngineBrokenError` instead of hanging on corrupted queues.
+* **Worker supervision with deterministic chunk retry.**  The parent blocks
+  on every worker's pipe and process sentinel at once, so it sees a death as
+  soon as it happens, and the dead worker's one assignment is exactly the
+  chunk it lost.  The parent respawns the worker against the *existing*
+  shared-memory segments and requeues that chunk, charging it against
+  ``max_chunk_retries``; the re-execution is bit-identical because a chunk's
+  content is a pure function of its attempt range.  Past the bound the job
+  fails with :class:`ChunkRetryExhaustedError` while the pool (already
+  repaired) stays usable.  A SIGKILL mid-send truncates only the dead
+  worker's own pipe, so no other worker's results are lost or held up.  The
+  results of an abandoned job (a progress callback raised, a retry budget
+  ran out) still arrive later and are dropped by job id.  A worker that
+  cannot start, at pool startup or on respawn, marks the engine broken and
+  every subsequent call raises :class:`EngineBrokenError`.
   :meth:`SynthesisEngine.pool_health` exposes the restart and per-chunk
   retry counters next to :meth:`SynthesisEngine.workload_fingerprint`.
 
@@ -74,11 +79,13 @@ import dataclasses
 import hashlib
 import itertools
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from multiprocessing.shared_memory import SharedMemory
-from queue import Empty
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,23 +105,16 @@ __all__ = [
     "ChunkRetryExhaustedError",
     "EngineBrokenError",
     "FoldSpec",
-    "MAX_FOLD_LANES",
     "SynthesisEngine",
 ]
-
-#: Upper bound on requests fused into one :meth:`SynthesisEngine.generate_folded`
-#: job.  The per-lane released counters live in one fixed-size shared array
-#: allocated at pool startup, so the bound must be known before any job runs.
-MAX_FOLD_LANES = 64
 
 
 class EngineBrokenError(RuntimeError):
     """The worker pool is unrecoverable; the engine refuses further work.
 
-    Raised when a worker dies during pool startup or a supervised respawn
-    itself fails.  The broken flag is sticky: every subsequent run call fails
-    fast with this error instead of hanging on inconsistent queues.  Build a
-    fresh engine to continue.
+    Raised when a worker cannot start, at pool startup or on a supervised
+    respawn.  The broken flag is sticky: every subsequent run call fails
+    fast with this error.  Build a fresh engine to continue.
     """
 
 
@@ -122,35 +122,13 @@ class ChunkRetryExhaustedError(RuntimeError):
     """A chunk's crash-retry budget (``max_chunk_retries``) ran out.
 
     The failing *job* is abandoned cleanly, but the pool has already been
-    repaired — dead workers respawned, or fully rebuilt when the crash
-    wedged the shared queues — so the engine itself remains usable for
-    subsequent runs.
+    repaired (the dead worker respawned), so the engine itself remains usable
+    for subsequent runs.
     """
 
     def __init__(self, message: str, chunk_indices: tuple[int, ...] = ()):
         super().__init__(message)
         self.chunk_indices = chunk_indices
-
-
-class _PoolStuckError(RuntimeError):
-    """The pool is live but silent: no messages, no deaths, nothing in flight.
-
-    A SIGKILL can land while the dying worker's queue feeder thread holds the
-    shared results queue's write lock; every surviving worker's messages then
-    wedge behind a lock no process will ever release.  The workers are alive,
-    so supervision sees nothing to respawn — the only recovery is rebuilding
-    the pool on fresh queues and resuming the job from the chunks already
-    received (chunk content is a pure function of the chunk index, so the
-    resumed run is bit-identical).
-
-    ``exhausted`` carries any chunks whose crash-retry budget ran out before
-    the wedge: that verdict must survive the rebuild — resuming would rerun
-    the job with a fresh retry budget and silently forgive the crashes.
-    """
-
-    def __init__(self, message: str, exhausted: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.exhausted = exhausted
 
 
 @dataclass(frozen=True)
@@ -286,12 +264,10 @@ class _Lane:
 
 @dataclass(frozen=True)
 class _Job:
-    """One dispatched run: one or more request lanes over one chunk counter.
+    """One dispatched run: one or more request lanes over one chunk grid.
 
     Global chunk indices run through lane 0's chunks, then lane 1's, and so
-    on; claims therefore arrive in lane-local order, which the worker-side
-    skip logic relies on.  ``completed`` holds *global* indices adopted from
-    a checkpoint.
+    on.  ``completed`` holds *global* indices adopted from a checkpoint.
     """
 
     job_id: int
@@ -322,6 +298,20 @@ class _Job:
         lane_index, local_index = self.entry(index)
         return self.lanes[lane_index].chunk_attempts(local_index, self.chunk_size)
 
+    def assignment(self, index: int) -> "_Assignment":
+        """What a worker needs to run global chunk ``index``."""
+        lane_index, local_index = self.entry(index)
+        lane = self.lanes[lane_index]
+        return _Assignment(
+            job_id=self.job_id,
+            index=index,
+            base_seed=lane.base_seed,
+            start=local_index * self.chunk_size,
+            attempts=lane.chunk_attempts(local_index, self.chunk_size),
+            batch_size=self.batch_size,
+            target_released=lane.target_released,
+        )
+
     # Single-lane accessors: checkpoint signatures and resume metadata address
     # the unfolded case through these (folded jobs never checkpoint).
     @property
@@ -337,18 +327,30 @@ class _Job:
         return self.lanes[0].target_released
 
 
-def _lanes_satisfied(job: _Job, lane_released) -> bool:
-    """True when every lane's shared released counter has met its target.
+class _Assignment(NamedTuple):
+    """One chunk handed to one worker: attempts ``[start, start + attempts)``
+    of the lane keyed by ``base_seed``, cut at the lane's whole target."""
 
-    Lanes without a target (fixed attempt budgets) are never satisfied early;
-    their chunks must all be claimed from the counter, as before folding.
-    """
-    for lane_index, lane in enumerate(job.lanes):
-        if lane.target_released is None:
-            return False
-        if lane_released[lane_index] < lane.target_released:
-            return False
-    return True
+    job_id: int
+    index: int
+    base_seed: int
+    start: int
+    attempts: int
+    batch_size: int
+    target_released: int | None
+
+
+#: The task of a worker that has not reported ready yet; it holds no chunk.
+_STARTING = "starting"
+
+
+@dataclass
+class _Worker:
+    """One worker process, the parent's end of its pipe and its one task."""
+
+    process: BaseProcess
+    conn: Connection
+    task: _Assignment | str | None = _STARTING
 
 
 def _build_worker_mechanism(spec: _WorkerSpec, segments: list[SharedMemory]) -> SynthesisMechanism:
@@ -375,101 +377,42 @@ def _build_worker_mechanism(spec: _WorkerSpec, segments: list[SharedMemory]) -> 
     return mechanism
 
 
-def _worker_main(
-    slot,
-    spec,
-    job_queue,
-    results_queue,
-    retry_queue,
-    next_chunk,
-    lane_released,
-    stop_flag,
-    inflight,
-    fault,
-):
-    """Worker entry point: build the mechanism once, then serve jobs forever.
+def _worker_main(spec: _WorkerSpec, conn: Connection, fault) -> None:
+    """Worker entry point: build the mechanism once, then run assignments.
 
-    ``inflight[slot]`` is this worker's crash-proof claim record: it holds the
-    chunk index being executed (-1 when idle) and is written *before* the
-    chunk runs, so the supervisor can re-dispatch exactly the lost chunk of a
-    SIGKILLed worker without relying on queue messages that may never have
-    been flushed.  ``retry_queue`` carries those re-dispatched indices; they
-    are claimed ahead of the shared counter.  ``lane_released`` holds one
-    shared released counter per lane of the current job (index 0 for the
-    common single-lane case).  ``fault`` is an optional
-    :mod:`repro.testing.faults` injection point fired before each chunk.
+    Every message to the parent is ``(job id, chunk index, released,
+    payload)``.  The startup report is ``(None, None, 0, None)``, or carries
+    the traceback as its payload when the mechanism cannot be built.  A
+    chunk's payload is its report columns, or the traceback of the
+    exception it raised.  The worker exits when the parent closes its end of
+    the pipe.  ``fault`` is an optional :mod:`repro.testing.faults`
+    injection point fired before each chunk.
     """
     segments: list[SharedMemory] = []
     try:
-        mechanism = _build_worker_mechanism(spec, segments)
-    except BaseException:
-        results_queue.put((None, "error", (slot, traceback.format_exc())))
-        return
-    results_queue.put((None, "ready", slot))
-
-    while True:
-        job = job_queue.get()
-        if job is None:
-            return
         try:
-            while True:
-                if stop_flag.value:
-                    break
-                # Retry claims come first and ignore release targets: a
-                # retried chunk is a hole in the contiguous prefix, and the
-                # shared counter may already sit past the target on the
-                # strength of post-hole chunks that cannot be delivered
-                # until the hole is filled.
-                index = None
-                try:
-                    index = retry_queue.get_nowait()
-                except Empty:
-                    pass
-                if index is None:
-                    if _lanes_satisfied(job, lane_released):
-                        break
-                    with next_chunk.get_lock():
-                        index = next_chunk.value
-                        if index >= job.num_chunks:
-                            break
-                        next_chunk.value = index + 1
-                    if index in job.completed:
-                        continue
-                    lane_index, local_index = job.entry(index)
-                    lane = job.lanes[lane_index]
-                    if (
-                        lane.target_released is not None
-                        and lane_released[lane_index] >= lane.target_released
-                    ):
-                        # The lane met its target on the strength of chunks
-                        # with lower local indices (claims arrive in lane-
-                        # local order): consume the claim without executing.
-                        continue
-                else:
-                    if index >= job.num_chunks or index in job.completed:
-                        continue
-                    lane_index, local_index = job.entry(index)
-                    lane = job.lanes[lane_index]
-                inflight[slot] = index
+            mechanism = _build_worker_mechanism(spec, segments)
+        except Exception:
+            conn.send((None, None, 0, traceback.format_exc()))
+            return
+        conn.send((None, None, 0, None))
+        while True:
+            task = conn.recv()
+            try:
                 if fault is not None:
-                    fault.fire(index)
+                    fault.fire(task.index)
                 report = mechanism.run_attempts(
-                    job.chunk_attempts(index),
-                    lane.stream.at(local_index * job.chunk_size),
-                    batch_size=job.batch_size,
-                    stop_after_released=lane.target_released,
+                    task.attempts,
+                    attempt_stream(task.base_seed, task.start),
+                    batch_size=task.batch_size,
+                    stop_after_released=task.target_released,
                 )
-                with lane_released.get_lock():
-                    lane_released[lane_index] += report.num_released
-                results_queue.put(
-                    (job.job_id, "chunk", (index, report.to_arrays(), report.num_released))
-                )
-                inflight[slot] = -1
-            inflight[slot] = -1
-            results_queue.put((job.job_id, "done", slot))
-        except BaseException:
-            inflight[slot] = -1
-            results_queue.put((job.job_id, "error", (slot, traceback.format_exc())))
+                message = (task.job_id, task.index, report.num_released, report.to_arrays())
+            except Exception:
+                message = (task.job_id, task.index, 0, traceback.format_exc())
+            conn.send(message)
+    except (EOFError, OSError):
+        return  # the parent closed its end: the engine is shutting down
 
 
 # --------------------------------------------------------------------------- #
@@ -518,13 +461,6 @@ class SynthesisEngine:
     shared-memory segments are released deterministically.
     """
 
-    _POLL_SECONDS = 1.0
-    #: Consecutive empty polls — with every worker alive but idle — before
-    #: the shared queues are declared wedged (see :class:`_PoolStuckError`).
-    _STUCK_POLLS = 15
-    #: Pool rebuilds allowed per job before the engine gives up as broken.
-    _MAX_POOL_REBUILDS = 2
-
     def __init__(
         self,
         model: BayesianNetworkSynthesizer,
@@ -563,11 +499,10 @@ class SynthesisEngine:
         self._max_chunk_retries = max_chunk_retries
         self._fault_injector = fault_injector
         # Optional supervision-event callback ``(kind, payload)`` with kind
-        # in {"worker_restart", "chunk_retry", "pool_rebuild"}.  Telemetry
-        # only: it must not raise, and it never influences execution.
+        # in {"worker_restart", "chunk_retry"}.  Telemetry only: it must not
+        # raise, and it never influences execution.
         self._event_sink = event_sink
         self._job_counter = 0
-        self._pending_done = 0
         self._workload_digest: str | None = None
         self._local_mechanism: SynthesisMechanism | None = None
         # Pool state (populated by start() when num_workers > 1).
@@ -575,21 +510,11 @@ class SynthesisEngine:
         self._closed = False
         self._broken = False
         self._worker_spec: _WorkerSpec | None = None
-        self._processes: list = []
-        self._job_queues: list = []
-        self._results_queue = None
-        self._retry_queue = None
-        self._next_chunk = None
-        self._lane_released = None
-        self._stop_flag = None
-        self._inflight = None
+        self._workers: list[_Worker] = []
         self._segments: list[SharedMemory] = []
         # Supervision bookkeeping.
         self._worker_restarts = 0
-        self._pool_rebuilds = 0
         self._chunk_retries: dict[int, int] = {}  # chunk -> crash re-executions (current job)
-        self._retry_pending: set[int] = set()  # requeued chunks awaiting redelivery
-        self._slot_owes_done: set[int] = set()  # slots dispatched the current job
 
     @property
     def num_workers(self) -> int:
@@ -636,73 +561,55 @@ class SynthesisEngine:
         if self._num_workers == 1 or self._started:
             return self
         self._worker_spec = self._build_worker_spec()
-        context = get_context("spawn")
-        self._results_queue = context.Queue()
-        self._retry_queue = context.Queue()
-        self._next_chunk = context.Value("l", 0)
-        self._lane_released = context.Array("l", [0] * MAX_FOLD_LANES)
-        self._stop_flag = context.Value("b", 0)
-        self._inflight = context.Array("l", [-1] * self._num_workers, lock=False)
-        for slot in range(self._num_workers):
-            self._job_queues.append(context.Queue())
-            self._processes.append(None)
-            self._spawn_worker(slot)
         self._started = True
-        ready = 0
-        while ready < self._num_workers:
-            _job_id, kind, payload = self._next_message()
-            if kind == "error":
-                self.close()
-                raise RuntimeError(f"engine worker failed to start:\n{payload[1]}")
-            if kind == "ready":
-                ready += 1
+        for _ in range(self._num_workers):
+            self._workers.append(self._spawn_worker())
+        while any(worker.task is _STARTING for worker in self._workers):
+            for slot, message in self._events():
+                failure = "the worker died" if message is None else message[3]
+                if failure is not None:
+                    self._broken = True
+                    self.close()
+                    raise EngineBrokenError(
+                        f"engine worker {slot} failed to start; the pool is broken:\n{failure}"
+                    )
+                self._workers[slot].task = None
         return self
 
-    def _spawn_worker(self, slot: int) -> None:
-        """(Re)start the worker of ``slot`` against the existing segments."""
+    def _spawn_worker(self) -> _Worker:
+        """Start one worker against the existing segments."""
         context = get_context("spawn")
+        conn, child_conn = context.Pipe()
         try:
             process = context.Process(
                 target=_worker_main,
-                args=(
-                    slot,
-                    self._worker_spec,
-                    self._job_queues[slot],
-                    self._results_queue,
-                    self._retry_queue,
-                    self._next_chunk,
-                    self._lane_released,
-                    self._stop_flag,
-                    self._inflight,
-                    self._fault_injector,
-                ),
+                args=(self._worker_spec, child_conn, self._fault_injector),
                 daemon=True,
             )
             process.start()
-        except BaseException as exc:
+        except Exception as exc:
+            conn.close()
             self._broken = True
-            raise EngineBrokenError(
-                f"failed to (re)spawn engine worker {slot}: {exc}"
-            ) from exc
-        self._processes[slot] = process
+            raise EngineBrokenError(f"failed to (re)spawn an engine worker: {exc}") from exc
+        finally:
+            # Only the worker may hold its end: when it dies mid-send, the
+            # parent's recv must raise instead of waiting for the rest.
+            child_conn.close()
+        return _Worker(process, conn)
 
     def close(self) -> None:
         """Stop the workers and release the shared-memory segments."""
         if self._closed:
             return
         self._closed = True
-        for job_queue in self._job_queues:
-            try:
-                job_queue.put(None)
-            except Exception:
-                pass
-        for process in self._processes:
-            if process is None:
-                continue
-            process.join(timeout=10)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
+        for worker in self._workers:
+            # The worker reads EOF, or fails to send its result, and exits.
+            worker.conn.close()
+        for worker in self._workers:
+            worker.process.join(timeout=10)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(timeout=5)
         for segment in self._segments:
             try:
                 segment.close()
@@ -710,8 +617,7 @@ class SynthesisEngine:
             except Exception:
                 pass
         self._segments.clear()
-        self._processes.clear()
-        self._job_queues.clear()
+        self._workers.clear()
 
     def _build_worker_spec(self) -> _WorkerSpec:
         seed_segment, (seed_spec,) = _pack_arrays([self._seeds.data])
@@ -782,10 +688,11 @@ class SynthesisEngine:
         """Propose candidates until ``num_released`` pass the privacy test.
 
         The release is the first ``num_released`` passing attempts of
-        ``base_seed``'s stream.  Workers coordinate through a shared released
-        counter, so generation stops within about one chunk per worker of the
-        target instead of running out a static attempt budget; the
-        in-process engine stops at the proposal batch that holds the target.
+        ``base_seed``'s stream.  The parent stops assigning chunks once the
+        chunks it has received hold the target, so a pool stops within about
+        one chunk per worker of it instead of running out a static attempt
+        budget; the in-process engine stops at the proposal batch that holds
+        the target.
         ``max_attempts`` (default: 100 per requested record) still bounds the
         run when the parameters are too strict to reach the target.  The
         released records and the merged accounting are identical for every
@@ -825,13 +732,8 @@ class SynthesisEngine:
 
         Folded jobs do not checkpoint (no ``run_id``): they are the serving
         layer's fast path, where per-request idempotency already provides
-        replay.  At most :data:`MAX_FOLD_LANES` specs fold into one job.
+        replay.
         """
-        if len(specs) > MAX_FOLD_LANES:
-            raise ValueError(
-                f"at most {MAX_FOLD_LANES} requests can be folded into one job "
-                f"(got {len(specs)})"
-            )
         lanes: list[_Lane] = []
         for spec in specs:
             if spec.num_released < 0:
@@ -888,8 +790,8 @@ class SynthesisEngine:
             lanes=lanes,
         )
         # Only the contiguous prefix of checkpointed chunks is adopted: a
-        # post-gap chunk's releases would preset the shared released counter
-        # and could stop the pool before the gap is ever filled, silently
+        # post-gap chunk's releases would count toward its lane's target and
+        # could stop assignment before the gap is ever filled, silently
         # under-delivering.  Gap and post-gap chunks are simply regenerated —
         # chunk content is a pure function of its attempt range, so the rerun
         # is bit-identical to the checkpoint it replaces.
@@ -908,60 +810,10 @@ class SynthesisEngine:
         if self._num_workers == 1:
             self._run_in_process(job, reports, tracker, run_id)
         else:
-            rebuilds = 0
+            self.start()
             self._chunk_retries = {}  # fresh crash-retry budget per job
-            while True:
-                self.start()
-                try:
-                    self._run_on_pool(job, reports, tracker, run_id)
-                    break
-                except _PoolStuckError as exc:
-                    rebuilds += 1
-                    if rebuilds > self._MAX_POOL_REBUILDS:
-                        self._broken = True
-                        self.close()
-                        raise EngineBrokenError(
-                            f"the worker pool wedged {rebuilds} times on one "
-                            f"job ({exc}); the engine is broken"
-                        ) from exc
-                    self._rebuild_pool()
-                    if exc.exhausted:
-                        # The retry-budget verdict predates the wedge and must
-                        # not be forgiven by the rebuild: the job is abandoned
-                        # exactly as if the pool had drained cleanly.
-                        raise ChunkRetryExhaustedError(
-                            f"chunk(s) {list(exc.exhausted)} crashed more than "
-                            f"max_chunk_retries={self._max_chunk_retries} "
-                            "times; the job was abandoned but the pool has "
-                            "been rebuilt and the engine remains usable",
-                            chunk_indices=exc.exhausted,
-                        ) from exc
-                    # Resume from the chunks already received, under the same
-                    # rule as checkpoint adoption: keep each lane's contiguous
-                    # delivered prefix, regenerate the rest.  A post-gap
-                    # report must not preset the released counters (it could
-                    # stop an until-N lane before its gap is filled), and
-                    # re-executing is bit-identical anyway.
-                    kept: set[int] = set()
-                    for lane_index in range(len(job.lanes)):
-                        for index in job.lane_chunks(lane_index):
-                            if index not in reports:
-                                break
-                            kept.add(index)
-                    for index in [i for i in reports if i not in kept]:
-                        del reports[index]
-                    job = dataclasses.replace(job, completed=frozenset(kept))
+            self._run_on_pool(job, reports, tracker, run_id)
         return self._finalize(job, reports)
-
-    @staticmethod
-    def _lane_released_sums(job: _Job, reports: dict[int, SynthesisReport]) -> list[int]:
-        """Per-lane released totals over the chunk reports received so far."""
-        sums = [0] * len(job.lanes)
-        for index, report in reports.items():
-            if index < job.num_chunks:
-                lane_index, _local_index = job.entry(index)
-                sums[lane_index] += report.num_released
-        return sums
 
     def _mechanism(self) -> SynthesisMechanism:
         if self._local_mechanism is None:
@@ -1013,303 +865,123 @@ class SynthesisEngine:
         tracker: "_ProgressTracker",
         run_id: str | None,
     ) -> None:
-        if self._pending_done:
-            # A previous job's collection loop was interrupted (exception in
-            # a progress callback, Ctrl-C, ...).  Its workers may still be
-            # claiming chunks from the shared counters, so wait for them to
-            # go quiescent before resetting state for this job.
-            self._stop_flag.value = 1
-            silent_polls = 0
-            while self._pending_done:
-                try:
-                    _job_id, kind, _payload = self._results_queue.get(
-                        timeout=self._POLL_SECONDS
-                    )
-                except Empty:
-                    # A worker that died while owing a "done" will never send
-                    # it; respawn it (idle: the stale job is abandoned) and
-                    # stop waiting on its behalf.
-                    restarts = self._worker_restarts
-                    self._supervise(None, {}, None)
-                    silent_polls = (
-                        0
-                        if self._worker_restarts != restarts
-                        or any(int(flag) >= 0 for flag in self._inflight)
-                        else silent_polls + 1
-                    )
-                    if silent_polls >= self._STUCK_POLLS:
-                        raise _PoolStuckError(
-                            "the stale-job drain made no progress for "
-                            f"{silent_polls} polls"
-                        )
-                    continue
-                silent_polls = 0
-                if kind in ("done", "error"):
-                    self._pending_done -= 1
-        while True:  # clear retry indices a stopped job never consumed
-            try:
-                self._retry_queue.get_nowait()
-            except Empty:
-                break
-        self._next_chunk.value = 0
-        completed_sums = self._lane_released_sums(
-            job, {index: reports[index] for index in job.completed}
-        )
-        with self._lane_released.get_lock():
-            for lane_index in range(MAX_FOLD_LANES):
-                self._lane_released[lane_index] = (
-                    completed_sums[lane_index]
-                    if lane_index < len(completed_sums)
-                    else 0
-                )
-        self._stop_flag.value = 0
-        # _chunk_retries is NOT reset here: a pool rebuild resumes the same
-        # job, and its crash-retry budget is cumulative across the resume.
-        self._retry_pending = set()
-        self._slot_owes_done = set(range(len(self._processes)))
-        for job_queue in self._job_queues:
-            job_queue.put(job)
-        self._pending_done = len(self._processes)
-
-        pending = len(self._processes)
         prefix = _FoldPrefix(job, reports)
-        failure: str | None = None
-        exhausted: list[int] = []
-        silent_polls = 0
-        try:
-            while pending:
-                try:
-                    job_id, kind, payload = self._results_queue.get(
-                        timeout=self._POLL_SECONDS
-                    )
-                except Empty:
-                    restarts = self._worker_restarts
-                    self._supervise(job, reports, exhausted)
-                    if exhausted and not self._stop_flag.value:
-                        self._stop_flag.value = 1
-                    # Workers alive but nothing computing, nothing delivered
-                    # and nobody respawned: the shared queues are wedged (a
-                    # crash poisoned an internal lock) and no amount of
-                    # waiting or respawning will unwedge them.
-                    silent_polls = (
-                        0
-                        if self._worker_restarts != restarts
-                        or any(int(flag) >= 0 for flag in self._inflight)
-                        else silent_polls + 1
-                    )
-                    if silent_polls >= self._STUCK_POLLS:
-                        raise _PoolStuckError(
-                            f"{pending} live worker(s) sent nothing for "
-                            f"{silent_polls} polls with no chunk in flight",
-                            exhausted=tuple(sorted(set(exhausted))),
-                        )
+        received = [0] * len(job.lanes)  # releases over each lane's received chunks
+        for index, report in reports.items():
+            received[job.entry(index)[0]] += report.num_released
+        requeued: deque[int] = deque()
+
+        def fresh():
+            # Lane-local order: a lane's chunk is assigned only after all its
+            # lower chunks, so once the lane's received chunks hold its target,
+            # every chunk its contiguous prefix needs is received or in flight.
+            for lane_index, lane in enumerate(job.lanes):
+                for index in job.lane_chunks(lane_index):
+                    target = lane.target_released
+                    if target is not None and received[lane_index] >= target:
+                        break
+                    if index not in job.completed:
+                        yield index
+
+        unassigned = fresh()
+
+        def dispatch() -> None:
+            # A worker that died idle gets nothing: its death is reported
+            # next, and a chunk it never received must not be charged for it.
+            for worker in self._workers:
+                if worker.task is None and worker.process.is_alive():
+                    index = requeued.popleft() if requeued else next(unassigned, None)
+                    if index is None:
+                        return
+                    worker.task = job.assignment(index)
+                    try:
+                        worker.conn.send(worker.task)
+                    except OSError:
+                        pass  # the worker just died: its death requeues the task
+
+        dispatch()
+        while not prefix.all_satisfied():
+            for slot, message in self._events():
+                if message is None:
+                    lost = self._respawn(slot)
+                    if lost is not None and lost.job_id == job.job_id:
+                        requeued.append(self._charge(lost.index))
+                    dispatch()
                     continue
-                silent_polls = 0
+                job_id, index, released, payload = message
+                self._workers[slot].task = None
+                if job_id is None and payload is not None:
+                    self._broken = True
+                    raise EngineBrokenError(
+                        f"a respawned engine worker failed to start:\n{payload}"
+                    )
+                if job_id == job.job_id:
+                    received[job.entry(index)[0]] += released  # 0 for a failed chunk
+                dispatch()
                 if job_id != job.job_id:
-                    # Stale message from a job whose collection loop was
-                    # interrupted (e.g. a progress callback raised): drop it
-                    # rather than merging another run's chunks into this one.
-                    continue
-                if kind == "done":
-                    pending -= 1
-                    self._pending_done -= 1
-                    self._slot_owes_done.discard(payload)
-                elif kind == "error":
-                    pending -= 1
-                    self._pending_done -= 1
-                    self._slot_owes_done.discard(payload[0])
-                    failure = payload[1]
-                    self._stop_flag.value = 1
-                elif kind == "chunk":
-                    index, arrays, released = payload
-                    if index in reports:
-                        # A crash-retried chunk raced its original message
-                        # (both delivered).  The content is bit-identical, so
-                        # drop the duplicate and undo its double count on the
-                        # lane's shared released counter.
-                        lane_index, _local_index = job.entry(index)
-                        with self._lane_released.get_lock():
-                            self._lane_released[lane_index] -= released
-                        continue
-                    report = SynthesisReport.from_arrays(self._schema, arrays)
-                    reports[index] = report
-                    self._retry_pending.discard(index)
-                    self._save_checkpoint(run_id, index, arrays)
-                    tracker.emit(index, report)
-                    if not self._stop_flag.value:
-                        prefix.advance(job.entry(index)[0])
-                        if prefix.all_satisfied():
-                            self._stop_flag.value = 1
-        except BaseException:
-            # Parent-side failure mid-collection: tell the workers to stop
-            # claiming chunks instead of burning the rest of the budget.
-            self._stop_flag.value = 1
-            raise
-        if failure is not None:
-            raise RuntimeError(f"engine worker failed:\n{failure}")
-        if exhausted:
-            indices = tuple(sorted(set(exhausted)))
+                    continue  # a startup report, or a late result of an abandoned job
+                if isinstance(payload, str):
+                    raise RuntimeError(f"engine worker failed:\n{payload}")
+                report = SynthesisReport.from_arrays(self._schema, payload)
+                reports[index] = report
+                self._save_checkpoint(run_id, index, payload)
+                tracker.emit(index, report)
+                prefix.advance(job.entry(index)[0])
+
+    def _events(self) -> list[tuple[int, tuple | None]]:
+        """Block until workers send a message or die: ``(slot, message)`` each.
+
+        ``message`` is None for a dead worker.  A worker's complete messages
+        are read before its death is reported; a message a SIGKILL cut short
+        truncates only that worker's own pipe and reads as its death.
+        """
+        ready = set(
+            wait(
+                [worker.conn for worker in self._workers if worker.task is not None]
+                + [worker.process.sentinel for worker in self._workers]
+            )
+        )
+        events = []
+        for slot, worker in enumerate(self._workers):
+            if worker.conn in ready or worker.process.sentinel in ready:
+                try:
+                    events.append((slot, worker.conn.recv() if worker.conn.poll() else None))
+                except (EOFError, OSError):
+                    events.append((slot, None))
+        return events
+
+    def _respawn(self, slot: int) -> _Assignment | None:
+        """Replace the dead worker of ``slot``; return the chunk it lost."""
+        worker = self._workers[slot]
+        lost = worker.task if isinstance(worker.task, _Assignment) else None
+        self._worker_restarts += 1
+        self._emit_event(
+            "worker_restart", {"slot": slot, "lost_chunk": -1 if lost is None else lost.index}
+        )
+        worker.process.kill()  # a worker whose pipe broke is exiting anyway
+        worker.process.join()
+        worker.conn.close()
+        self._workers[slot] = self._spawn_worker()  # raises EngineBrokenError on failure
+        return lost
+
+    def _charge(self, index: int) -> int:
+        """Charge a lost chunk one crash; past ``max_chunk_retries`` fail the job."""
+        retries = self._chunk_retries.get(index, 0)
+        if retries >= self._max_chunk_retries:
             raise ChunkRetryExhaustedError(
-                f"chunk(s) {list(indices)} crashed more than max_chunk_retries="
+                f"chunk {index} crashed its worker more than max_chunk_retries="
                 f"{self._max_chunk_retries} times; the job was abandoned but the "
                 "pool has been repaired and the engine remains usable",
-                chunk_indices=indices,
+                chunk_indices=(index,),
             )
+        self._chunk_retries[index] = retries + 1
+        self._emit_event("chunk_retry", {"chunk": index, "retries": retries + 1})
+        return index
 
     def _emit_event(self, kind: str, payload: dict) -> None:
         """Forward one supervision event to the telemetry sink, if any."""
         if self._event_sink is not None:
             self._event_sink(kind, payload)
-
-    def _supervise(self, job: _Job | None, reports: dict, exhausted: list | None) -> None:
-        """Detect dead workers, respawn them, and re-dispatch lost chunks.
-
-        With a ``job`` in flight the replacement worker is handed the same
-        job and every chunk the crash may have swallowed is queued for
-        deterministic re-execution: the crashed worker's in-flight chunk
-        (from the shared ``inflight`` table, charged against
-        ``max_chunk_retries`` as the potential culprit) *and* any earlier
-        claimed-but-undelivered chunk (requeued uncharged) — a SIGKILL
-        can take already-``put`` messages down with the queue's feeder
-        thread, so a chunk the dead worker finished minutes ago may still be
-        lost.  Retries are queued before the job is re-dispatched so no
-        replacement can observe the job without every hole being claimable.
-        The shared released counter is resynced to the reports actually
-        received so a crash between a worker's counter increment and its
-        (lost) chunk message can never stop an until-N run short of its
-        target.
-        """
-        dead_slots = [
-            slot for slot, process in enumerate(self._processes) if not process.is_alive()
-        ]
-        respawned: list[tuple[int, bool]] = []
-        for slot in dead_slots:
-            lost_chunk = int(self._inflight[slot])
-            self._inflight[slot] = -1
-            owed = slot in self._slot_owes_done
-            self._worker_restarts += 1
-            self._emit_event(
-                "worker_restart", {"slot": slot, "lost_chunk": lost_chunk}
-            )
-            self._spawn_worker(slot)  # raises EngineBrokenError on failure
-            if job is None:
-                if owed:
-                    self._slot_owes_done.discard(slot)
-                    self._pending_done -= 1
-                continue
-            respawned.append((slot, owed))
-            if lost_chunk >= 0 and lost_chunk not in reports:
-                self._requeue_chunk(lost_chunk, exhausted)
-        if job is None or not respawned:
-            return
-        self._requeue_swallowed_chunks(job, reports)
-        for slot, owed in respawned:
-            if owed:
-                self._job_queues[slot].put(job)  # replacement owes the done instead
-        sums = self._lane_released_sums(job, reports)
-        with self._lane_released.get_lock():
-            for lane_index, value in enumerate(sums):
-                self._lane_released[lane_index] = value
-
-    def _requeue_chunk(self, index: int, exhausted: list) -> None:
-        """Queue one chunk for re-execution, charging its crash-retry budget."""
-        retries = self._chunk_retries.get(index, 0)
-        if retries >= self._max_chunk_retries:
-            exhausted.append(index)
-        else:
-            self._chunk_retries[index] = retries + 1
-            self._emit_event(
-                "chunk_retry", {"chunk": index, "retries": retries + 1}
-            )
-            self._retry_pending.add(index)
-            self._retry_queue.put(index)
-
-    def _requeue_swallowed_chunks(self, job: _Job, reports: dict) -> None:
-        """Requeue every claimed chunk whose delivery the crash may have lost.
-
-        A hole — claimed off the shared counter, not delivered, not in any
-        live worker's ``inflight`` slot and not already awaiting retry — is
-        either a message the dead worker's feeder thread never flushed or a
-        target-met claim a lane consumed without executing.  Re-executing is
-        safe in both cases: chunk content is a pure function of
-        ``(base_seed, attempt range)``, a raced duplicate delivery is dropped
-        with its counter double-increment undone, and :meth:`_finalize`
-        truncates each lane at its target.  Unlike the dead worker's
-        in-flight chunk (the potential culprit), holes are innocent victims
-        of someone else's crash, so their re-execution is *not* charged
-        against ``max_chunk_retries`` — the budget still bounds crash loops
-        because every crash charges whatever was in flight.
-        """
-        claimed = min(int(self._next_chunk.value), job.num_chunks)
-        inflight = {int(self._inflight[slot]) for slot in range(len(self._processes))}
-        for index in range(claimed):
-            if index in reports or index in job.completed:
-                continue
-            if index in inflight or index in self._retry_pending:
-                continue
-            self._retry_pending.add(index)
-            self._retry_queue.put(index)
-
-    def _rebuild_pool(self) -> None:
-        """Tear down a wedged pool and leave it ready to start from scratch.
-
-        Respawning individual workers cannot fix state *inside* the shared
-        queues — a lock a SIGKILLed feeder thread died holding stays held
-        forever, and any process touching that queue wedges too.  So the
-        whole process tier is discarded: workers terminated, queues and
-        shared counters dropped, segments unlinked.  The next :meth:`start`
-        builds everything fresh.
-        """
-        self._pool_rebuilds += 1
-        self._emit_event("pool_rebuild", {"rebuilds": self._pool_rebuilds})
-        for process in self._processes:
-            if process is None or not process.is_alive():
-                continue
-            process.terminate()
-            process.join(timeout=5)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5)
-        for queue in (*self._job_queues, self._retry_queue):
-            try:
-                # Unflushed feeder data must not block queue finalization.
-                queue.cancel_join_thread()
-            except Exception:  # repro: allow[robust-swallowed-exception]
-                pass  # best-effort teardown of an already-poisoned queue
-        for segment in self._segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:  # repro: allow[robust-swallowed-exception]
-                pass  # another close() may have unlinked the segment first
-        self._segments.clear()
-        self._processes.clear()
-        self._job_queues.clear()
-        self._results_queue = None
-        self._retry_queue = None
-        self._pending_done = 0
-        self._started = False
-
-    def _next_message(self):
-        """One (job_id, kind, payload) startup message, watching for deaths.
-
-        Only the :meth:`start` ready-wait uses this: a worker that dies
-        before the pool is even up has nothing to retry deterministically, so
-        the pool is marked broken and torn down rather than supervised.
-        """
-        while True:
-            try:
-                return self._results_queue.get(timeout=self._POLL_SECONDS)
-            except Empty:
-                dead = [p for p in self._processes if p is not None and not p.is_alive()]
-                if dead:
-                    codes = [p.exitcode for p in dead]
-                    self._broken = True
-                    self.close()
-                    raise EngineBrokenError(
-                        f"{len(dead)} engine worker(s) died during pool startup "
-                        f"(exit codes: {codes}); the pool is broken"
-                    ) from None
 
     def _finalize(
         self, job: _Job, reports: dict[int, SynthesisReport]
@@ -1340,19 +1012,17 @@ class SynthesisEngine:
         """Supervision counters next to the workload identity.
 
         ``worker_restarts`` counts every supervised respawn over the engine's
-        lifetime and ``pool_rebuilds`` every full from-scratch pool rebuild
-        after a wedged-queue livelock; ``chunk_retries`` maps chunk index to
-        crash re-executions for the most recent pool job; ``workers_alive``
-        is the live process count (0 in-process, where there is no pool
-        to supervise).
+        lifetime; ``chunk_retries`` maps chunk index to crash re-executions
+        for the most recent pool job; ``workers_alive`` is the live process
+        count (0 in-process, where there is no pool to supervise).
+        ``pool_rebuilds`` is always 0, since no fault needs a new pool; the
+        key stays because perfbench's ``engine.retries`` reads it.
         """
         return {
             "num_workers": self._num_workers,
-            "workers_alive": sum(
-                1 for p in self._processes if p is not None and p.is_alive()
-            ),
+            "workers_alive": sum(1 for worker in self._workers if worker.process.is_alive()),
             "worker_restarts": self._worker_restarts,
-            "pool_rebuilds": self._pool_rebuilds,
+            "pool_rebuilds": 0,
             "chunk_retries": dict(self._chunk_retries),
             "max_chunk_retries": self._max_chunk_retries,
             "broken": self._broken,

@@ -111,9 +111,6 @@ class Telemetry:
         self.worker_restarts_total = m.counter(
             "repro_worker_restarts_total", "Engine workers respawned."
         )
-        self.pool_rebuilds_total = m.counter(
-            "repro_pool_rebuilds_total", "Engine worker pools rebuilt."
-        )
         # Privacy test.
         self.privacy_test_attempts_total = m.counter(
             "repro_privacy_test_attempts_total",
@@ -193,8 +190,6 @@ class Telemetry:
             self.worker_restarts_total.inc()
         elif kind == "chunk_retry":
             self.chunk_retries_total.inc()
-        elif kind == "pool_rebuild":
-            self.pool_rebuilds_total.inc()
 
     def close(self) -> None:
         self.tracer.close()

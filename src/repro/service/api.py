@@ -285,7 +285,7 @@ class ServiceApp:
         Scaling knobs (PR 8): ``engines_per_model`` bounds the
         :class:`~repro.service.engine_pool.EnginePool` engines per model and
         sets the scheduler's long-lived dispatchers per model.  Each
-        dispatcher folds at most :data:`~repro.core.engine.MAX_FOLD_LANES`
+        dispatcher folds at most :data:`~repro.service.scheduler.MAX_FOLD_LANES`
         queued requests into one engine job; an idle dispatcher takes the
         overflow onto a separate engine.  ``worker_budget`` globally bounds
         reserved worker processes across all engines (idle engines are
@@ -333,8 +333,8 @@ class ServiceApp:
             self._obs = None
         # Thread-local fold context: the dispatcher thread running a folded
         # batch parks its requests here so engine supervision events
-        # (worker restarts, chunk retries, pool rebuilds) can be attributed
-        # to the traces of the requests that were in flight.
+        # (worker restarts, chunk retries) can be attributed to the traces
+        # of the requests that were in flight.
         self._fold_ctx = threading.local()
         self._pool = EnginePool(
             self._build_engine,
@@ -614,7 +614,7 @@ class ServiceApp:
 
         Counts the event in the metrics registry and attaches a zero-duration
         span to every request in the fold the dispatcher thread is running —
-        a worker restart or pool rebuild affects the whole fused job, so each
+        a worker restart or chunk retry affects the whole fused job, so each
         folded lane's trace records it.
         """
         obs = self._obs
@@ -722,6 +722,13 @@ class ServiceApp:
         """
         if rows < 1:
             raise ServiceError(400, "bad_rows", "rows must be a positive integer")
+        # A negative value would fail inside the engine, and with it every
+        # request folded into the same job.
+        for name, value in (("seed", seed), ("max_attempts", max_attempts)):
+            if value is not None and value < 0:
+                raise ServiceError(
+                    400, "bad_parameter", f"{name!r} must be a non-negative integer"
+                )
         session = self._session(session_id)
         obs = self._obs
         t_model = obs.clock.monotonic() if obs is not None else 0.0
@@ -1179,7 +1186,16 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        header = self.headers.get("Content-Length", 0) or 0
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up.
+            raise ServiceError(
+                400, "bad_content_length", f"invalid Content-Length {header!r}"
+            )
         if length > _MAX_BODY_BYTES:
             raise ServiceError(413, "body_too_large", "request body too large")
         raw = self.rfile.read(length) if length else b"{}"

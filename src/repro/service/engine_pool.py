@@ -321,9 +321,9 @@ class EnginePool:
         """Per-model engine supervision counters plus pool-global totals.
 
         Each model reports its engine count, how many are leased out, the sum
-        of live worker processes, supervised restarts and wedged-pool
-        rebuilds across its engines, and how many are
-        broken-but-not-yet-evicted.  Pool-global counters
+        of live worker processes and supervised restarts across its engines
+        (``pool_rebuilds`` stays as the always-0 sum of the engines' key), and
+        how many are broken-but-not-yet-evicted.  Pool-global counters
         cover builds, evictions, budget reaping and the worker budget.
         """
         with self._lock:

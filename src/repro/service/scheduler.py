@@ -4,20 +4,22 @@ Concurrent ``/generate`` requests land in per-model fold queues.  Each model
 is served by ``engines_per_model`` dispatcher threads, started at the
 model's first request and stopped only by :meth:`RequestScheduler.close`.
 An idle dispatcher parks on the scheduler's condition variable; a submit
-wakes it, and it drains at most :data:`~repro.core.engine.MAX_FOLD_LANES`
-queued requests — one drain is one fused engine job.  The service's fold
-executor concatenates the drained requests' per-request chunk plans into a
-single dispatch over the shared :class:`~repro.core.engine.SynthesisEngine`
-worker pool, splits the merged report back per request by chunk ownership,
-and the dispatcher resolves each request's future individually.  Overflow
-past one drain is taken by the model's next idle dispatcher, folding onto
-its own pooled engine.  Because every request carries its own base seed,
-and an engine lane is a pure function of ``(workload, base_seed, budget,
-chunk/batch size)`` through chunk-indexed RNG streams, the rows a request
-releases are independent of which fold it landed in, of the requests
-around it, and of the dispatch order: any folding of concurrent requests is
-bit-identical to serving them one at a time (the folding conformance suite
-proves this with the shared :mod:`repro.testing.invariants` checkers).
+wakes it, and it drains at most :data:`MAX_FOLD_LANES` queued requests —
+one drain is one fused engine job.  The service's fold executor runs the
+drained requests as the lanes of one
+:meth:`~repro.core.engine.SynthesisEngine.generate_folded` job over the
+shared worker pool, which splits the merged report back per request by
+chunk ownership, and the dispatcher resolves each request's future
+individually.  Overflow past one drain is taken by the model's next idle
+dispatcher, folding onto its own pooled engine.  Because every request
+carries its own base seed, and attempt i of an engine lane is a pure
+function of ``(workload, base_seed, i)`` through counter-addressed attempt
+streams (:mod:`repro.core.stream`), the rows a request releases are
+independent of which fold it landed in, of the requests around it, of the
+dispatch order and of the engine's chunk and batch sizes: any folding of
+concurrent requests is bit-identical to serving them one at a time (the
+folding conformance suite proves this with the shared
+:mod:`repro.testing.invariants` checkers).
 
 Fairness across models is structural: each model owns its queue and its
 dispatchers, so a flood against one model never blocks another model's
@@ -40,12 +42,12 @@ from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from repro.core.engine import MAX_FOLD_LANES
 from repro.core.results import SynthesisReport
 
 __all__ = [
     "DeadlineExceededError",
     "GenerateRequest",
+    "MAX_FOLD_LANES",
     "QueueFullError",
     "RequestScheduler",
     "SchedulerStats",
@@ -53,6 +55,10 @@ __all__ = [
 ]
 
 _logger = logging.getLogger("repro.service.scheduler")
+
+#: Most requests one drain folds into one engine job.  Every request of a
+#: fold waits for the whole job, so this caps how long a drain holds them.
+MAX_FOLD_LANES = 64
 
 
 class SchedulerStoppedError(RuntimeError):
@@ -80,9 +86,10 @@ class DeadlineExceededError(RuntimeError):
 class GenerateRequest:
     """One deterministic generation request.
 
-    ``base_seed`` fully determines the request's RNG streams (chunk ``i`` of
-    the run uses ``SeedSequence(base_seed, spawn_key=(i,))``), making the
-    result interleaving-independent.  ``deadline`` is an absolute
+    ``base_seed`` fully determines the request's attempt stream (attempt
+    ``i`` reads its own counter-addressed words of the stream keyed by
+    ``base_seed``; see :mod:`repro.core.stream`), making the result
+    interleaving-independent.  ``deadline`` is an absolute
     ``time.monotonic()`` instant: a request still queued past it is dropped
     with :class:`DeadlineExceededError` rather than dispatched.
     """
@@ -105,7 +112,7 @@ class SchedulerStats:
     ``fold_factor`` is the mean number of requests per drain — 1.0 means no
     folding happened, N means N requests shared each fused engine job on
     average; ``max_batch`` is the largest drain, at most
-    :data:`~repro.core.engine.MAX_FOLD_LANES`.  ``queue_wait_seconds``
+    :data:`MAX_FOLD_LANES`.  ``queue_wait_seconds``
     accumulates every request's admission→dispatch wait (``max_queue_wait``
     is the worst single wait); ``engine_busy_seconds`` accumulates
     wall-clock spent executing folds; ``utilization`` is engine-busy time
@@ -162,7 +169,7 @@ class RequestScheduler:
         """``fold_executor(model_id, requests)`` runs one drain of same-model
         requests as one fused engine job and returns one outcome per request
         — a report, or an exception instance to fail just that request.
-        A drain holds at most :data:`~repro.core.engine.MAX_FOLD_LANES`
+        A drain holds at most :data:`MAX_FOLD_LANES`
         requests.  ``max_queue_depth`` bounds admission across all models: a
         submit that would queue more than this many undispatched requests is
         refused with :class:`QueueFullError` (``None`` = no bound).

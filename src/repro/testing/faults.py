@@ -3,7 +3,7 @@
 Each fault is a small picklable object handed to the component under test
 (the engine's ``fault_injector``, the scheduler's ``dispatch_hook``) so the
 failure fires at a *deterministic* point in the pipeline — "SIGKILL the
-worker that claims chunk 2", "delay every dispatch past the deadline" — and
+worker assigned chunk 2", "delay every dispatch past the deadline" — and
 the recovery path can be asserted bit-identical to the undisturbed run via
 the shared :mod:`repro.testing.invariants` checkers.
 
@@ -31,11 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KillWorkerAtChunk:
-    """SIGKILL the worker process that claims ``chunk_index``.
+    """SIGKILL the worker process that is assigned ``chunk_index``.
 
-    Fired by the engine worker *after* recording the chunk in the shared
-    in-flight table but *before* executing it — the exact window in which a
-    real OOM kill loses an uncommitted chunk.  ``times`` bounds how many
+    Fired by the engine worker *after* it has received the chunk's
+    assignment but *before* executing it, so the chunk is the one assignment
+    the dead worker held, as when a real OOM kill loses an uncommitted chunk.  ``times`` bounds how many
     kills the fault may perform across respawns (coordinated through
     ``marker_dir``), so ``times = max_chunk_retries + 1`` forces retry
     exhaustion while ``times = 1`` exercises clean recovery.

@@ -7,7 +7,10 @@ function of ``(base_seed, chunk_index)``, so a retry can never change the
 released output, only the wall clock.
 """
 
-import numpy as np
+import random
+import threading
+import time
+
 import pytest
 
 from repro.core.engine import (
@@ -198,175 +201,104 @@ class TestBrokenEngine:
         assert not health["broken"]
 
 
-class TestSwallowedChunkRequeue:
-    """A SIGKILL can lose *already-sent* chunk messages with the dead
-    worker's queue feeder thread, not just the chunk in its inflight slot.
-    Supervision must requeue every claimed-but-undelivered hole."""
-
-    def test_holes_requeued_inflight_and_delivered_skipped(
+class TestInterruptedJob:
+    def test_raising_progress_callback_leaves_a_usable_pool(
         self, unnoised_model, acs_splits, params
     ):
-        from queue import Empty
+        # The callback raises at the first chunk it sees, while the other
+        # worker is still running a chunk of the abandoned job.
+        class Interrupted(Exception):
+            pass
 
-        from repro.core.engine import _Job, _Lane
+        def interrupt(event):
+            raise Interrupted
 
-        with SynthesisEngine(
+        engine = SynthesisEngine(
             unnoised_model,
             acs_splits.seeds,
             params,
             num_workers=2,
-            chunk_size=16,
-            batch_size=8,
-        ) as engine:
-            engine.run_attempts(16, base_seed=0)  # spin the pool up
-            job = _Job(
-                job_id=99,
-                chunk_size=16,
-                batch_size=8,
-                lanes=(_Lane(limit=80, base_seed=3, target_released=None),),
-            )
-            # Chunks 0-3 claimed; 0 and 2 delivered, 3 executing on a live
-            # worker, 1 swallowed by a crash; 4 never claimed.
-            engine._next_chunk.value = 4
-            engine._inflight[0] = 3
-            engine._chunk_retries = {}
-            engine._retry_pending = set()
-            engine._requeue_swallowed_chunks(job, {0: object(), 2: object()})
-            engine._inflight[0] = -1
-            requeued = []
-            while True:
-                try:
-                    requeued.append(engine._retry_queue.get(timeout=1.0))
-                except Empty:
-                    break
-            assert requeued == [1]
-            assert engine._retry_pending == {1}
-            # Holes are victims of someone else's crash, never charged.
-            assert engine._chunk_retries == {}
-
-    def test_hole_requeue_ignores_the_crash_retry_budget(
-        self, unnoised_model, acs_splits, params
-    ):
-        # A hole is requeued even when its own budget is spent: the chunk
-        # did not cause this crash, only its delivery was collateral damage.
-        from repro.core.engine import _Job, _Lane
-
-        with SynthesisEngine(
-            unnoised_model,
-            acs_splits.seeds,
-            params,
-            num_workers=2,
-            chunk_size=16,
-            batch_size=8,
-            max_chunk_retries=1,
-        ) as engine:
-            engine.run_attempts(16, base_seed=0)
-            job = _Job(
-                job_id=99,
-                chunk_size=16,
-                batch_size=8,
-                lanes=(_Lane(limit=48, base_seed=3, target_released=None),),
-            )
-            engine._next_chunk.value = 2
-            engine._chunk_retries = {1: 1}  # already crash-retried once
-            engine._retry_pending = set()
-            engine._requeue_swallowed_chunks(job, {0: object()})
-            assert engine._retry_queue.get(timeout=1.0) == 1
-            assert engine._chunk_retries == {1: 1}  # unchanged, not exhausted
-
-
-class TestPoolRebuild:
-    """Recovery from a wedged pool: a SIGKILL landing inside the shared
-    results queue's feeder lock silences every surviving worker, so the
-    engine rebuilds the whole pool on fresh queues and resumes the job
-    from the chunks already delivered."""
-
-    def test_rebuild_pool_recovers_a_usable_pool(
-        self, unnoised_model, acs_splits, params
-    ):
-        with SynthesisEngine(
-            unnoised_model,
-            acs_splits.seeds,
-            params,
-            num_workers=2,
-            chunk_size=16,
-            batch_size=8,
-        ) as engine:
-            first = engine.run_attempts(48, base_seed=7)
-            engine._rebuild_pool()
-            second = engine.run_attempts(48, base_seed=7)
-            health = engine.pool_health()
-        assert health["pool_rebuilds"] == 1
-        assert health["workers_alive"] == 2
-        assert not health["broken"]
-        assert_reports_identical(first, second)
-
-    def test_wedged_job_resumes_bit_identically_after_rebuild(
-        self, unnoised_model, acs_splits, params
-    ):
-        from repro.core.engine import _PoolStuckError
-
-        with SynthesisEngine(
-            unnoised_model,
-            acs_splits.seeds,
-            params,
-            num_workers=2,
-            chunk_size=16,
-            batch_size=8,
-        ) as engine:
-            real = engine._run_on_pool
-            calls = {"n": 0}
-
-            def flaky(job, reports, tracker, run_id):
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    # Chunk 0 was delivered before the pool wedged.
-                    lane = job.lanes[0]
-                    reports[0] = engine._mechanism().run_attempts(
-                        job.chunk_attempts(0),
-                        lane.stream.at(0),
-                        batch_size=job.batch_size,
-                    )
-                    raise _PoolStuckError("simulated wedge")
-                # The resumed job adopted the delivered prefix as completed.
-                assert 0 in job.completed
-                return real(job, reports, tracker, run_id)
-
-            engine._run_on_pool = flaky
-            report = engine.run_attempts(48, base_seed=11)
-            health = engine.pool_health()
-        assert calls["n"] == 2
-        assert health["pool_rebuilds"] == 1
+            chunk_size=2048,
+            batch_size=2048,
+        )
+        try:
+            with pytest.raises(Interrupted):
+                engine.generate(20 * 2048, base_seed=5, progress=interrupt)
+            report = engine.generate(2048 + 100, base_seed=9)
+        finally:
+            began = time.monotonic()
+            engine.close()
+            closing = time.monotonic() - began
+        assert closing < 5
         expected = serial_report(
-            unnoised_model, acs_splits, params, num_attempts=48, base_seed=11
+            unnoised_model, acs_splits, params, num_released=2048 + 100, base_seed=9
         )
         assert_reports_identical(expected, report)
 
-    def test_repeatedly_wedged_job_breaks_the_engine(
+
+class TestRandomKills:
+    """SIGKILLs at random moments, including while a worker writes a ~270 KB
+    chunk report to its pipe, cost at most a retry: a kill truncates only the
+    dead worker's own pipe, so no job can wait on a lost message or lock."""
+
+    def test_every_job_ends_within_seconds_and_never_rebuilds(
         self, unnoised_model, acs_splits, params
     ):
-        from repro.core.engine import _PoolStuckError
+        # About 0.2 s of work per job; the killer strikes every 0.1-0.5 s of
+        # job time, often before a respawned worker is even ready.
+        jobs = [
+            (kind, 96 * 2048, seed)
+            for seed, kind in enumerate(["run_attempts", "generate"] * 4)
+        ]
+        sizes = dict(chunk_size=2048, batch_size=2048)
+        rng = random.Random(19)
+        running = threading.Event()
+        stop = threading.Event()
+        kills = []
 
-        with SynthesisEngine(
-            unnoised_model,
-            acs_splits.seeds,
-            params,
-            num_workers=2,
-            chunk_size=16,
-            batch_size=8,
-        ) as engine:
+        def kill_random_workers(engine):
+            while not stop.wait(rng.uniform(0.1, 0.5)):
+                if running.is_set():
+                    rng.choice(engine._workers).process.kill()
+                    kills.append(time.monotonic())
 
-            def always_wedged(job, reports, tracker, run_id):
-                raise _PoolStuckError("simulated wedge")
-
-            engine._run_on_pool = always_wedged
-            with pytest.raises(EngineBrokenError):
-                engine.run_attempts(48, base_seed=11)
-            assert engine.pool_health()["broken"]
-            assert (
-                engine.pool_health()["pool_rebuilds"]
-                == engine._MAX_POOL_REBUILDS
+        durations = []
+        local = SynthesisEngine(unnoised_model, acs_splits.seeds, params, **sizes)
+        engine = SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, num_workers=2, **sizes
+        )
+        killer = threading.Thread(target=kill_random_workers, args=(engine,))
+        try:
+            engine.start()
+            killer.start()
+            for kind, n, seed in jobs:
+                running.set()
+                began = time.monotonic()
+                try:
+                    report = getattr(engine, kind)(n, base_seed=seed)
+                except ChunkRetryExhaustedError:
+                    report = None
+                durations.append(time.monotonic() - began)
+                running.clear()
+                if report is not None:
+                    assert_reports_identical(getattr(local, kind)(n, base_seed=seed), report)
+            stop.set()
+            killer.join(timeout=5)
+            health = engine.pool_health()
+            # The repaired pool serves the first job again, bit-identically.
+            kind, n, seed = jobs[0]
+            assert_reports_identical(
+                local.run_attempts(n, base_seed=seed), engine.run_attempts(n, base_seed=seed)
             )
+        finally:
+            stop.set()
+            engine.close()
+            local.close()
+        assert not killer.is_alive()
+        assert max(durations) < 10, durations
+        assert kills and health["worker_restarts"] >= 1
+        assert health["pool_rebuilds"] == 0
+        assert not health["broken"]
 
 
 class TestKillFaultHarness:

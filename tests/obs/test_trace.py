@@ -168,8 +168,6 @@ class TestTelemetryHub:
         hub = Telemetry()
         hub.engine_event("worker_restart", {"slot": 0})
         hub.engine_event("chunk_retry", {"chunk": 3})
-        hub.engine_event("pool_rebuild", {})
         assert hub.worker_restarts_total.value() == 1
         assert hub.chunk_retries_total.value() == 1
-        assert hub.pool_rebuilds_total.value() == 1
         hub.close()

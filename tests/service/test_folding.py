@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import (
-    MAX_FOLD_LANES,
     EngineBrokenError,
     FoldSpec,
     SynthesisEngine,
@@ -40,7 +39,7 @@ from repro.service import (
     ServiceApp,
     WorkerBudgetError,
 )
-from repro.service.scheduler import SchedulerStoppedError
+from repro.service.scheduler import MAX_FOLD_LANES, SchedulerStoppedError
 from repro.testing import KillWorkerAtChunk
 from repro.testing.invariants import (
     assert_reports_identical,

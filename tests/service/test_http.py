@@ -1,9 +1,11 @@
 """The stdlib JSON/HTTP front end, exercised over a real socket."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
@@ -138,6 +140,33 @@ class TestEndpoints:
         status, payload = get(f"{server_url}/releases/rel000001?offset=abc")
         assert status in (400, 404)  # bad offset or already-expired release
         assert payload["code"] in ("bad_parameter", "unknown_release")
+
+    def test_negative_seed_or_attempt_budget_is_400_before_any_reserve(
+        self, server_url
+    ):
+        _status, session = post(f"{server_url}/sessions", {"model": "tiny"})
+        session_id = session["session_id"]
+        for name in ("seed", "max_attempts"):
+            status, payload = post(
+                f"{server_url}/generate", {"session": session_id, "rows": 2, name: -1}
+            )
+            assert status == 400
+            assert payload["code"] == "bad_parameter"
+            assert name in payload["error"]
+        _status, budget = get(f"{server_url}/budget?session={session_id}&ledger=1")
+        assert budget["ledger"] == []
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, server_url, length):
+        address = urlparse(server_url)
+        with socket.create_connection((address.hostname, address.port), timeout=5) as raw:
+            raw.sendall(
+                b"POST /sessions HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode()
+                + b'{"model": "tiny"}'
+            )
+            status_line = raw.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
 
     def test_removed_accuracy_budget_key_is_400(self, server_url):
         status, payload = post(

@@ -6,8 +6,12 @@ import time
 
 import pytest
 
-from repro.core.engine import MAX_FOLD_LANES
-from repro.service.scheduler import GenerateRequest, RequestScheduler, SchedulerStats
+from repro.service.scheduler import (
+    MAX_FOLD_LANES,
+    GenerateRequest,
+    RequestScheduler,
+    SchedulerStats,
+)
 
 pytestmark = pytest.mark.service
 
