@@ -7,11 +7,16 @@ through vectorized generation and the prefix-key privacy test, amortizing
 the per-record Python overhead of the paper's one-candidate loop, which
 survives as the test oracle ``repro.testing.invariants.reference_propose``.
 This benchmark measures candidate throughput for both on the same fitted
-model and asserts:
+model, ``run_attempts`` at batch 256 (the default before attempts were
+counter-addressed) and at the production default 2,048, and asserts for each
+batch size:
 
 * ``run_attempts`` is at least 10x faster per candidate than the oracle, and
 * its privacy-test pass rate matches the oracle's within sampling noise
   (batching is a pure performance optimization).
+
+Both batch sizes propose the same attempts, so their pass rates must be
+equal.
 
 Scale knobs (environment variables):
 
@@ -48,7 +53,7 @@ def _int_env(name: str, default: int) -> int:
 RAW_RECORDS = _int_env("REPRO_BENCH_BATCH_RAW_RECORDS", 40_000)
 SINGLE_ATTEMPTS = _int_env("REPRO_BENCH_BATCH_SINGLE_ATTEMPTS", 300)
 BATCHED_ATTEMPTS = _int_env("REPRO_BENCH_BATCH_BATCHED_ATTEMPTS", 3_000)
-BATCH_SIZE = 256
+BATCH_SIZES = (256, 2048)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +65,8 @@ def batch_mechanism() -> SynthesisMechanism:
     paper's k every candidate passes and the pass-rate comparison would be
     vacuous.  The deterministic test keeps that comparison free of threshold
     noise; the generation and probability work being timed is identical for
-    the randomized test.
+    the randomized test.  The prefix-key index is built here, so neither
+    timed ``run_attempts`` row pays its one-off sort.
     """
     dataset = load_acs(num_records=RAW_RECORDS, seed=11)
     splits = split_dataset(dataset, rng=np.random.default_rng(17))
@@ -69,7 +75,7 @@ def batch_mechanism() -> SynthesisMechanism:
         splits.structure, splits.parameters, spec=spec, rng=np.random.default_rng(18)
     )
     params = PlausibleDeniabilityParams(k=200, gamma=4.0)
-    return SynthesisMechanism(model, splits.seeds, params)
+    return SynthesisMechanism(model, splits.seeds, params).prepare()
 
 
 def _run_comparison(mechanism: SynthesisMechanism) -> ExperimentResult:
@@ -81,16 +87,10 @@ def _run_comparison(mechanism: SynthesisMechanism) -> ExperimentResult:
     )
     single_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    batched = mechanism.run_attempts(
-        BATCHED_ATTEMPTS, attempt_stream(32), batch_size=BATCH_SIZE
-    )
-    batched_seconds = time.perf_counter() - start
-
     result = ExperimentResult(
         name="Batched Mechanism 1 throughput (ACS workload, omega=9, k=200, gamma=4)",
         headers=["path", "attempts", "seconds", "candidates / second", "pass rate"],
-        notes=f"seed records: {len(mechanism.seed_dataset)}, batch size: {BATCH_SIZE}",
+        notes=f"seed records: {len(mechanism.seed_dataset)}",
     )
     result.add_row(
         "scalar oracle",
@@ -99,13 +99,19 @@ def _run_comparison(mechanism: SynthesisMechanism) -> ExperimentResult:
         single.num_attempts / single_seconds,
         single.pass_rate,
     )
-    result.add_row(
-        "run_attempts",
-        batched.num_attempts,
-        batched_seconds,
-        batched.num_attempts / batched_seconds,
-        batched.pass_rate,
-    )
+    for batch_size in BATCH_SIZES:
+        start = time.perf_counter()
+        batched = mechanism.run_attempts(
+            BATCHED_ATTEMPTS, attempt_stream(32), batch_size=batch_size
+        )
+        batched_seconds = time.perf_counter() - start
+        result.add_row(
+            f"run_attempts, batch {batch_size}",
+            batched.num_attempts,
+            batched_seconds,
+            batched.num_attempts / batched_seconds,
+            batched.pass_rate,
+        )
     return result
 
 
@@ -113,23 +119,29 @@ def test_batched_throughput_and_pass_rate(benchmark, batch_mechanism, record_res
     result = run_once(benchmark, lambda: _run_comparison(batch_mechanism))
     record_result("batch_throughput.txt", result)
 
-    single_rate, batched_rate = result.column("candidates / second")
-    single_pass, batched_pass = result.column("pass rate")
+    single_rate, *batched_rates = result.column("candidates / second")
+    single_pass, *batched_passes = result.column("pass rate")
 
-    assert batched_rate >= 10.0 * single_rate, (
-        f"run_attempts must be >= 10x faster than the oracle: "
-        f"{batched_rate:.0f} vs {single_rate:.0f} candidates/s"
-    )
+    for batch_size, batched_rate, batched_pass in zip(
+        BATCH_SIZES, batched_rates, batched_passes
+    ):
+        assert batched_rate >= 10.0 * single_rate, (
+            f"run_attempts at batch {batch_size} must be >= 10x faster than the "
+            f"oracle: {batched_rate:.0f} vs {single_rate:.0f} candidates/s"
+        )
 
-    # Two-proportion comparison: both draw i.i.d. candidates from the same
-    # distribution, so the pass rates differ only by noise.
-    pooled = (
-        single_pass * SINGLE_ATTEMPTS + batched_pass * BATCHED_ATTEMPTS
-    ) / (SINGLE_ATTEMPTS + BATCHED_ATTEMPTS)
-    sigma = np.sqrt(
-        max(pooled * (1.0 - pooled), 1e-4) * (1.0 / SINGLE_ATTEMPTS + 1.0 / BATCHED_ATTEMPTS)
-    )
-    assert abs(single_pass - batched_pass) < 5.0 * sigma + 1e-9, (
-        f"pass rates diverge beyond noise: {single_pass:.3f} vs {batched_pass:.3f} "
-        f"(sigma {sigma:.4f})"
-    )
+        # Two-proportion comparison: both draw i.i.d. candidates from the same
+        # distribution, so the pass rates differ only by noise.
+        pooled = (
+            single_pass * SINGLE_ATTEMPTS + batched_pass * BATCHED_ATTEMPTS
+        ) / (SINGLE_ATTEMPTS + BATCHED_ATTEMPTS)
+        sigma = np.sqrt(
+            max(pooled * (1.0 - pooled), 1e-4)
+            * (1.0 / SINGLE_ATTEMPTS + 1.0 / BATCHED_ATTEMPTS)
+        )
+        assert abs(single_pass - batched_pass) < 5.0 * sigma + 1e-9, (
+            f"pass rates diverge beyond noise at batch {batch_size}: "
+            f"{single_pass:.3f} vs {batched_pass:.3f} (sigma {sigma:.4f})"
+        )
+    # The same attempts release the same rows whatever the batch size.
+    assert len(set(batched_passes)) == 1, batched_passes

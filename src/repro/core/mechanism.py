@@ -176,7 +176,7 @@ class SynthesisMechanism:
             words = stream.take(batch_size, len(self._seeds.schema))
             seed_indices = words.seed_indices(len(self._seeds))
             candidates = self._model.generate_batch(
-                self._seeds.data[seed_indices], words
+                np.take(self._seeds.data, seed_indices, axis=0), words
             )
         with obs_phase("privacy_test"):
             fast_counts = self._fast_batch_counts(seed_indices, candidates)
@@ -259,7 +259,7 @@ class SynthesisMechanism:
         if len(index.keys) == 1:
             seed_partitions = class_partitions[0]
         else:
-            seed_rows = self._seeds.data[seed_indices]
+            seed_rows = np.take(self._seeds.data, seed_indices, axis=0)
             seed_matches = np.array(
                 [
                     self._model.fixed_prefix_keys(seed_rows, omega) == key

@@ -26,11 +26,17 @@ from repro.generative.structure import DependencyStructure
 from repro.privacy.accountant import PrivacyAccountant
 
 __all__ = [
+    "SEARCH_MIN_ROWS",
     "ConditionalParameters",
     "ParameterLearner",
     "mixed_radix_strides",
     "sample_dirichlet_rows",
 ]
+
+#: Fewest rows for which :meth:`ConditionalParameters._sample_batch` binary-
+#: searches the CDF rows instead of comparing every entry; both give the same
+#: values.  Near the measured crossover on the perfbench ACS model.
+SEARCH_MIN_ROWS = 256
 
 
 def mixed_radix_strides(radices: Sequence[int]) -> np.ndarray:
@@ -92,8 +98,9 @@ class ConditionalParameters:
         configuration index).
     table:
         Row-stochastic matrix of shape (num_configurations, cardinality):
-        ``table[c, v] = Pr{x_i = v | configuration c}``.  Stored as the
-        validated float64 array.
+        ``table[c, v] = Pr{x_i = v | configuration c}``.  Every entry must
+        be non-negative and every row must sum to 1 within 1e-6.  Stored as
+        the validated float64 array.
     counts:
         The (possibly noisy) counts the table was estimated from; kept for
         inspection and posterior re-sampling.
@@ -103,8 +110,9 @@ class ConditionalParameters:
         that rarely-observed parent configurations degrade gracefully to the
         marginal distribution instead of to a uniform one.
 
-    The batch kernels read arrays derived once from the table: the row CDFs,
-    the flattened table and the configuration strides.  They are not part of
+    The batch kernels read arrays derived once from the table: the row CDFs
+    (padded with +inf for :meth:`_sample_batch`'s binary search), the
+    flattened table and the configuration strides.  They are not part of
     the pickled state and are rebuilt on unpickling.  Each batch operation is
     a public method that checks its input and an unchecked kernel of the same
     name with a leading underscore, which
@@ -129,14 +137,22 @@ class ConditionalParameters:
             )
         if not np.allclose(table.sum(axis=1), 1.0, atol=1e-6):
             raise ValueError("every configuration row must sum to 1")
+        # Inverse-CDF sampling needs non-decreasing CDF rows; a negative
+        # entry would also be returned as a "probability".
+        if (table < 0).any():
+            raise ValueError("table entries must be non-negative")
         self.table = table
         if self.prior is None:
             self.prior = np.full(table.shape[1], 1.0 / table.shape[1])
         self._strides = mixed_radix_strides(self.parent_cardinalities)
         # A row's cumsum adds the same terms in the same order whether or not
         # the row was gathered first, so reading rows of this CDF samples
-        # exactly what a cumsum over each batch's gathered rows would.
-        self._cdf = np.cumsum(table, axis=1)
+        # exactly what a cumsum over each batch's gathered rows would.  The
+        # rows are padded with +inf to a power-of-two width above the
+        # cardinality for the binary search in _sample_batch.
+        cardinality = table.shape[1]
+        self._cdf = np.full((table.shape[0], 1 << cardinality.bit_length()), np.inf)
+        self._cdf[:, :cardinality] = np.cumsum(table, axis=1)
         self._flat = table.reshape(-1)
 
     def __getstate__(self) -> dict:
@@ -255,18 +271,60 @@ class ConditionalParameters:
         The mechanism passes each attempt's word for this attribute's σ
         position (:meth:`repro.core.stream.AttemptWords.position`), so a row's
         value never depends on which other rows share the batch.
+
+        A row with configuration c and uniform u gets
+        ``min(count(cdf[c] <= u * total[c]), k - 1)`` for cardinality k, where
+        ``total[c]`` is the last entry of the row's CDF.  Scaling the uniform
+        onto the row's actual cumulative total keeps float rounding from
+        pushing a draw past the last positive-probability value, and counting
+        with ``<=`` (searchsorted side="right" semantics) makes a draw landing
+        exactly on a bucket boundary — including 0.0 on leading
+        zero-probability values — skip past them.  A zero-probability sample
+        would later fail the privacy test's positive-seed-probability
+        invariant.
+
+        Two exact strategies compute the count, chosen from the number of
+        rows n alone:
+
+        * Below :data:`SEARCH_MIN_ROWS` rows, the broadcast form: gather the
+          rows' CDFs and compare every entry with the row's scaled uniform,
+          an n × k compare and a per-row sum.
+        * From :data:`SEARCH_MIN_ROWS` rows up, a branchless binary search.
+          The CDF rows are stored padded with +inf to width W, the power of
+          two above k.  A row's position starts at 0, and each step, for step
+          = W/2, W/4, ..., 1, adds ``step`` to it when the entry at
+          ``position + step - 1`` is <= the scaled uniform: ⌈log2(k+1)⌉ steps
+          of one ``take`` and one compare of n entries each.  Table entries
+          are non-negative, so every CDF row is non-decreasing, and on a
+          non-decreasing row the final position is exactly the count of
+          entries <= the scaled uniform.  The padding is never <= a finite
+          value, so it is never counted.
+
+        Both strategies form ``scaled`` as the same product with the same
+        stored total and clamp at k − 1 alike, so they return the same values
+        bit for bit.  The search's cost is a few numpy calls per step, nearly
+        whatever n is, while the broadcast's grows with n·k, so the switch
+        sits near their crossover: on the perfbench ACS model (ω = 9,
+        cardinalities 2–100) the search took about 1.8x the broadcast's time
+        at 32 rows and 0.3x at 2,048, and they met near 200–256 rows.
         """
-        cdf = self._cdf[configs]
-        # Scale the uniforms onto each row's actual cumulative total so float
-        # rounding can never push a draw past the last positive-probability
-        # value, and count with <= (searchsorted side="right" semantics) so a
-        # draw landing exactly on a bucket boundary — including 0.0 on leading
-        # zero-probability values — skips past them.  A zero-probability
-        # sample would later fail the privacy test's positive-seed-probability
-        # invariant.
-        scaled = uniforms * cdf[:, -1]
-        values = (cdf <= scaled[:, None]).sum(axis=1, dtype=np.int64)
-        return np.minimum(values, self.cardinality - 1)
+        cardinality = self.cardinality
+        if configs.size < SEARCH_MIN_ROWS:
+            rows = self._cdf[configs, :cardinality]
+            scaled = uniforms * rows[:, -1]
+            values = (rows <= scaled[:, None]).sum(axis=1, dtype=np.int64)
+        else:
+            width = self._cdf.shape[1]
+            flat = self._cdf.reshape(-1)
+            index = configs * width
+            scaled = uniforms * flat[cardinality - 1:].take(index)
+            step = width >> 1
+            while step:
+                index += (flat[step - 1:].take(index) <= scaled) * step
+                step >>= 1
+            # Row starts are multiples of the power-of-two width.
+            values = index & (width - 1)
+        return np.minimum(values, cardinality - 1)
 
     def resample_table(self, rng: np.random.Generator) -> "ConditionalParameters":
         """A copy whose table is drawn from the Dirichlet posterior (Eq. 12).

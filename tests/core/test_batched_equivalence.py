@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.mechanism import SynthesisMechanism
 from repro.core.results import SynthesisReport
 from repro.core.stream import attempt_stream
+from repro.generative.parameters import SEARCH_MIN_ROWS
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
     batch_plausible_seed_counts,
@@ -237,6 +238,24 @@ class TestMechanismBatchEquivalence:
         # block must reproduce it column for column.
         attempts = check_batched_mechanism_parity(det_mechanism, stream, batch_size=50)
         assert attempts.num_attempts == 50
+
+    def test_batch_above_the_search_switch_matches_reference_evaluation(
+        self, omega_set_model, acs_splits
+    ):
+        # With ω in {5, 7, 9, 11}, a batch of 2 * SEARCH_MIN_ROWS attempts
+        # re-samples the last five σ positions for every row, through the
+        # kernel's binary search, and the first two for about a quarter of
+        # the rows, through its broadcast count.  The oracle samples each
+        # attempt alone.
+        mechanism = SynthesisMechanism(
+            omega_set_model,
+            acs_splits.seeds,
+            PlausibleDeniabilityParams(k=20, gamma=4.0, epsilon0=0.5),
+        )
+        block = check_batched_mechanism_parity(
+            mechanism, attempt_stream(37), batch_size=2 * SEARCH_MIN_ROWS
+        )
+        assert block.num_attempts == 2 * SEARCH_MIN_ROWS
 
     def test_batch_of_one_decisions_match_reference_evaluation(self, stream):
         # batch_size=1 is a batch of one through propose_batch, not a

@@ -6,9 +6,12 @@ index configurations or sample at ACS scale.  These digests were recorded
 when attempts became counter-addressed (stream version 2); any change to the
 kernels must reproduce every released row, threshold and count bit for bit.
 Attempts are a pure function of (base seed, attempt index), so the same
-attempts proposed in batches of 1, 7 and 256 must give one digest.  The
-learned ``unnoised_model`` conditions on no bucketized attribute, so a
-hand-built network whose parents include SCHL (``bucket_map``) and AGEP/WKHP
+attempts proposed in batches of 1, 7, 256 and 792 must give one digest.
+Batches of 1 and 7 sample only through the kernel's broadcast count; those of
+256 and the one 792-attempt batch reach its binary search
+(:data:`repro.generative.parameters.SEARCH_MIN_ROWS`).  The learned
+``unnoised_model`` conditions on no bucketized attribute, so a hand-built
+network whose parents include SCHL (``bucket_map``) and AGEP/WKHP
 (``bucket_size``) covers bucketization, with a mixed ω set.
 """
 
@@ -41,8 +44,10 @@ def _digest(arrays) -> str:
     return digest.hexdigest()
 
 
-#: Attempts each digest covers: a 1, 7 or 256 batch grid ends mid-batch.
+#: Attempts each digest covers: a 7 or 256 batch grid ends mid-batch, and
+#: one batch of all of them runs above the sampling kernel's switch.
 ATTEMPTS = 792
+BATCH_SIZES = (1, 7, 256, ATTEMPTS)
 
 
 def _propose_batch_digests(model, seeds, base_seed) -> dict[int, str]:
@@ -52,7 +57,7 @@ def _propose_batch_digests(model, seeds, base_seed) -> dict[int, str]:
     params = PlausibleDeniabilityParams(k=200, gamma=4.0, epsilon0=1.0)
     mechanism = SynthesisMechanism(model, seeds, params)
     digests = {}
-    for batch_size in (1, 7, 256):
+    for batch_size in BATCH_SIZES:
         stream = attempt_stream(base_seed)
         blocks = []
         while stream.position < ATTEMPTS:
@@ -66,7 +71,7 @@ def _propose_batch_digests(model, seeds, base_seed) -> dict[int, str]:
 
 def test_propose_batch_blocks_match_pinned_digest(unnoised_model, acs_splits):
     digests = _propose_batch_digests(unnoised_model, acs_splits.seeds, 1501)
-    assert digests == dict.fromkeys((1, 7, 256), PROPOSE_BATCH_DIGEST)
+    assert digests == dict.fromkeys(BATCH_SIZES, PROPOSE_BATCH_DIGEST)
 
 
 def test_generate_batch_with_mixed_omegas_matches_pinned_digest(unnoised_model, acs_splits):
@@ -98,7 +103,7 @@ def test_bucketized_parents_match_pinned_digest(acs_splits):
     tables = ParameterLearner().learn(acs_splits.parameters, structure)
     model = BayesianNetworkSynthesizer(schema, structure, tables, omega=(4, 7, 11))
     digests = _propose_batch_digests(model, acs_splits.seeds, 1503)
-    assert len(set(digests.values())) == 1  # batch sizes 1, 7 and 256 agree
+    assert len(set(digests.values())) == 1  # every batch size agrees
     seeds = acs_splits.seeds.data[:300]
     columns = [
         model.candidate_factor_suffix_products(seeds),

@@ -5,12 +5,53 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.generative.parameters import (
+    SEARCH_MIN_ROWS,
     ConditionalParameters,
     ParameterLearner,
     sample_dirichlet_rows,
 )
 from repro.generative.structure import DependencyStructure
 from repro.privacy.accountant import PrivacyAccountant
+
+
+@st.composite
+def _zero_run_tables(draw):
+    """A table whose rows have zero-probability runs, with uniforms to invert.
+
+    Each row has a leading and a trailing run of zeros (possibly empty) and
+    zeros scattered between positive weights.  The uniforms are 0, the
+    largest double below 1, uniforms u with ``u * total`` equal to a CDF
+    entry of their row, and arbitrary draws, each with its row index.
+    """
+    k = draw(st.integers(1, 24))
+    num_rows = draw(st.integers(1, 3))
+    table = np.zeros((num_rows, k))
+    for row in table:
+        lead = draw(st.integers(0, k - 1))
+        trail = draw(st.integers(0, k - 1 - lead))
+        weights = draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.integers(1, 9).map(float), st.floats(1e-9, 1.0)),
+                min_size=k - lead - trail,
+                max_size=k - lead - trail,
+            )
+        )
+        weights[draw(st.integers(0, len(weights) - 1))] = draw(st.floats(1e-3, 1.0))
+        row[lead : k - trail] = weights
+        row /= row.sum()
+    uniforms, configs = [], []
+    for config, row in enumerate(table):
+        cdf = np.cumsum(row)
+        candidates = [0.0, 1.0 - 2.0**-53]
+        for entry in cdf:
+            guess = entry / cdf[-1]
+            for u in (np.nextafter(guess, 0.0), guess, np.nextafter(guess, 1.0)):
+                if u < 1.0 and u * cdf[-1] == entry:
+                    candidates.append(float(u))
+        candidates += draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+        uniforms += candidates
+        configs += [config] * len(candidates)
+    return table, np.array(uniforms), np.array(configs, dtype=np.int64)
 
 
 @pytest.fixture()
@@ -90,11 +131,13 @@ class TestConditionalParameters:
         assert set(batch.tolist()) <= {0, 1}
         assert abs(batch.mean() - scalar.mean()) < 0.05
 
-    def test_sample_batch_never_emits_zero_probability_values(self, rng):
+    @pytest.mark.parametrize("batch", [SEARCH_MIN_ROWS - 1, 20000])
+    def test_sample_batch_never_emits_zero_probability_values(self, rng, batch):
         # Regression: a cumulative total that rounds below 1.0 must not let a
         # uniform draw land past the last positive-probability value (the
         # generated record would later fail the privacy test's positive-
-        # seed-probability invariant).
+        # seed-probability invariant).  20,000 rows, in batches below and
+        # above the kernel's switch to the binary search.
         table = ConditionalParameters(
             attribute_index=0,
             parents=(),
@@ -102,10 +145,16 @@ class TestConditionalParameters:
             table=np.array([[1.0 - 3e-7, 3e-7 - 1e-9, 0.0, 0.0]]),
             counts=np.zeros((1, 4)),
         )
-        samples = table.sample_batch(rng, np.zeros(20000, dtype=np.int64))
+        samples = np.concatenate(
+            [
+                table.sample_batch(rng, np.zeros(batch, dtype=np.int64))
+                for _ in range(-(-20000 // batch))
+            ]
+        )
         assert set(samples.tolist()) <= {0, 1}
 
-    def test_sample_batch_zero_draw_skips_leading_zero_probability(self):
+    @pytest.mark.parametrize("batch", [5, SEARCH_MIN_ROWS])
+    def test_sample_batch_zero_draw_skips_leading_zero_probability(self, batch):
         # Regression: a uniform draw of exactly 0.0 must not select a leading
         # zero-probability value (strict `<` counting used to pick index 0).
         table = ConditionalParameters(
@@ -120,8 +169,38 @@ class TestConditionalParameters:
             def random(self, size):
                 return np.zeros(size)
 
-        samples = table.sample_batch(ZeroRng(), np.zeros(5, dtype=np.int64))
-        assert samples.tolist() == [2] * 5
+        samples = table.sample_batch(ZeroRng(), np.zeros(batch, dtype=np.int64))
+        assert samples.tolist() == [2] * batch
+
+    @pytest.mark.parametrize("batch", [SEARCH_MIN_ROWS - 1, 2 * SEARCH_MIN_ROWS])
+    @given(case=_zero_run_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_sample_batch_equals_row_by_row_count(self, batch, case):
+        # Both strategies (broadcast below SEARCH_MIN_ROWS rows, binary
+        # search from it up) must return min(count(cdf <= u * total), k - 1)
+        # for every row, on the uniforms where they could differ: 0, the
+        # largest uniform below 1, and uniforms that scale exactly onto a CDF
+        # entry, with zero-probability runs at the start, middle and end.
+        table, uniforms, configs = case
+        k = table.shape[1]
+        params = ConditionalParameters(
+            attribute_index=0,
+            parents=(1,),
+            parent_cardinalities=(table.shape[0],),
+            table=table,
+            counts=np.zeros_like(table),
+        )
+        repeats = -(-batch // len(uniforms))
+        uniforms = np.tile(uniforms, repeats)[:batch]
+        configs = np.tile(configs, repeats)[:batch]
+        expected = []
+        for u, c in zip(uniforms, configs):
+            cdf = np.cumsum(table[c])
+            expected.append(min(int(np.count_nonzero(cdf <= u * cdf[-1])), k - 1))
+        values = params._sample_batch(uniforms, configs)
+        assert values.dtype == np.int64
+        assert values.tolist() == expected
+        assert np.all(table[configs, values] > 0)
 
     def test_probabilities_batch_matches_scalar(self, learned_tables):
         label_table = learned_tables[3]
@@ -208,6 +287,18 @@ class TestConditionalParameters:
                 parent_cardinalities=(),
                 table=np.array([[0.5, 0.4]]),
                 counts=np.zeros((1, 2)),
+            )
+
+    def test_negative_entries_are_rejected(self):
+        # The row sums to 1, but its CDF [1.5, 0.8, 1.0] is not monotone:
+        # sampling it drew value 1 (probability -0.7) and never value 2.
+        with pytest.raises(ValueError, match="non-negative"):
+            ConditionalParameters(
+                attribute_index=0,
+                parents=(),
+                parent_cardinalities=(),
+                table=[[1.5, -0.7, 0.2]],
+                counts=np.zeros((1, 3)),
             )
 
 
