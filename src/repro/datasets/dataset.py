@@ -24,23 +24,8 @@ class Dataset:
     """An encoded dataset: a schema plus a matrix of integer codes."""
 
     def __init__(self, schema: Schema, data: np.ndarray):
-        matrix = np.asarray(data, dtype=np.int64)
-        if matrix.ndim != 2:
-            raise ValueError(f"data must be a 2-D matrix, got shape {matrix.shape}")
-        if matrix.shape[1] != len(schema):
-            raise ValueError(
-                f"data has {matrix.shape[1]} columns but schema has "
-                f"{len(schema)} attributes"
-            )
-        for col, attribute in enumerate(schema):
-            column = matrix[:, col]
-            if column.size and (column.min() < 0 or column.max() >= attribute.cardinality):
-                raise ValueError(
-                    f"column {attribute.name!r} contains codes outside "
-                    f"[0, {attribute.cardinality})"
-                )
         self._schema = schema
-        self._data = matrix
+        self._data = schema.check_codes(data)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -136,11 +121,7 @@ class Dataset:
 
     def decoded_records(self) -> list[list]:
         """All records decoded back to raw attribute values."""
-        decoded_columns = [
-            attribute.decode(self._data[:, col])
-            for col, attribute in enumerate(self._schema)
-        ]
-        return [list(row) for row in zip(*decoded_columns)] if len(self) else []
+        return self._schema.decode_rows(self._data)
 
     def bucketized(self) -> np.ndarray:
         """The data matrix with every column mapped to its structure-learning buckets.

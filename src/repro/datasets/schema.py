@@ -121,15 +121,6 @@ class Attribute:
                 f"value {exc.args[0]!r} is not in the domain of attribute {self.name!r}"
             ) from None
 
-    def decode(self, codes: np.ndarray) -> list:
-        """Decode integer codes back to raw values."""
-        arr = np.asarray(codes, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.cardinality):
-            raise ValueError(
-                f"codes out of range [0, {self.cardinality}) for attribute {self.name!r}"
-            )
-        return [self.values[int(code)] for code in arr]
-
     @property
     def bucket_table(self) -> np.ndarray:
         """Read-only int64 lookup table: ``bucket_table[code]`` is the code's bucket.
@@ -214,3 +205,42 @@ class Schema:
         for attribute in self._attributes:
             total *= attribute.cardinality
         return total
+
+    def check_codes(self, codes: np.ndarray) -> np.ndarray:
+        """``codes`` as an int64 (rows x attributes) matrix, every code in its domain."""
+        matrix = np.asarray(codes, dtype=np.int64)
+        if matrix.ndim != 2 or matrix.shape[1] != len(self):
+            raise ValueError(f"expected a 2-D (rows x {len(self)}) matrix, got {matrix.shape}")
+        cardinalities = self._value_tables()[2]
+        if matrix.size and (matrix.min() < 0 or (matrix >= cardinalities).any()):
+            column = ((matrix < 0) | (matrix >= cardinalities)).any(axis=0).argmax()
+            attribute = self._attributes[column]
+            raise ValueError(
+                f"codes outside the domain [0, {attribute.cardinality}) of {attribute.name!r}"
+            )
+        return matrix
+
+    def decode_rows(self, codes: np.ndarray) -> list[list]:
+        """Rows of codes decoded to raw attribute values, one list per row.
+
+        All domains sit in one object array of Python values at per-attribute
+        offsets: after :meth:`check_codes` (a bare gather would read -1 as a
+        neighbour's value), one gather and ``tolist`` decode the whole block.
+        """
+        values, offsets, _ = self._value_tables()
+        return values[self.check_codes(codes) + offsets].tolist()
+
+    def _value_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, offsets, cardinalities), built on first use and never pickled."""
+        if "_decoder" not in self.__dict__:
+            cardinalities = np.array(self.cardinalities, dtype=np.int64)
+            values = np.fromiter(
+                (v.item() if isinstance(v, np.generic) else v for a in self for v in a.values),
+                dtype=object,
+                count=int(cardinalities.sum()),
+            )
+            self._decoder = (values, np.cumsum(cardinalities) - cardinalities, cardinalities)
+        return self._decoder
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != "_decoder"}

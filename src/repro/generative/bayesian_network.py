@@ -100,7 +100,6 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         """Derive the lookup arrays the batch kernels read (once per model)."""
         schema = self._schema
         cardinalities = schema.cardinalities
-        self._cardinalities = np.array(cardinalities, dtype=np.int64)
         # Every attribute's bucket table back to back: code c of attribute a
         # sits at _bucket_offsets[a] + c, so one gather bucketizes a matrix.
         self._bucket_offsets = np.cumsum([0, *cardinalities[:-1]], dtype=np.int64)
@@ -185,18 +184,6 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
     def _bucketize_record(self, record: np.ndarray) -> np.ndarray:
         return self.bucketize_records(np.asarray(record, dtype=np.int64)[None, :])[0]
 
-    def _checked_records(self, records: np.ndarray, name: str) -> np.ndarray:
-        """``records`` as an int64 matrix, after the shape and domain checks."""
-        matrix = np.asarray(records, dtype=np.int64)
-        m = len(self._schema)
-        if matrix.ndim != 2 or matrix.shape[1] != m:
-            raise ValueError(
-                f"{name} must be a 2-D array with {m} columns, got shape {matrix.shape}"
-            )
-        if matrix.size and (matrix.min() < 0 or (matrix >= self._cardinalities).any()):
-            raise ValueError(f"{name} hold codes outside their attributes' domains")
-        return matrix
-
     def _check_omega(self, omega: int) -> None:
         if not 0 <= omega <= len(self._schema):
             raise ValueError(f"omega must lie in [0, {len(self._schema)}]")
@@ -207,7 +194,7 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
 
     def bucketize_records(self, records: np.ndarray) -> np.ndarray:
         """Column-wise bucketization of a (records x attributes) matrix."""
-        return self._bucketize(self._checked_records(records, "records"))
+        return self._bucketize(self._schema.check_codes(records))
 
     def _parent_values(self, bucketized_record: np.ndarray, attribute: int) -> np.ndarray | None:
         parents = self._structure.parents[attribute]
@@ -295,7 +282,7 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
             Optional per-row ω values; drawn uniformly from the configured ω
             set when omitted.
         """
-        matrix = self._checked_records(seeds, "seeds")
+        matrix = self._schema.check_codes(seeds)
         m = len(self._schema)
         num_rows = matrix.shape[0]
         if len(words) != num_rows or words.num_attributes != m:
@@ -397,7 +384,7 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         Returns ``None`` when the key would overflow int64 (callers fall back
         to the dense probability-matrix path).
         """
-        matrix = self._checked_records(records, "records")
+        matrix = self._schema.check_codes(records)
         self._check_omega(omega)
         weights = self._prefix_weights[omega]
         if weights is None:
@@ -406,7 +393,7 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
 
     def candidate_factors_batch(self, candidates: np.ndarray, omega: int) -> np.ndarray:
         """Vectorized q(y) over every row of ``candidates`` for a fixed ω."""
-        matrix = self._checked_records(candidates, "candidates")
+        matrix = self._schema.check_codes(candidates)
         self._check_omega(omega)
         m = len(self._schema)
         bucketized = self._bucketize(matrix)
@@ -424,7 +411,7 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         the per-ω callers would otherwise re-bucketize the candidate block and
         recompute the overlapping factor products once per ω.
         """
-        return self._suffix_products(self._checked_records(candidates, "candidates"))
+        return self._suffix_products(self._schema.check_codes(candidates))
 
     def _suffix_products(self, matrix: np.ndarray) -> np.ndarray:
         """Unchecked kernel of :meth:`candidate_factor_suffix_products`."""
@@ -449,8 +436,8 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         agreement indicator times a per-candidate factor — so the whole matrix
         is a handful of broadcast comparisons and one outer product per ω.
         """
-        seed_matrix = self._checked_records(seeds, "seeds")
-        cand_matrix = self._checked_records(candidates, "candidates")
+        seed_matrix = self._schema.check_codes(seeds)
+        cand_matrix = self._schema.check_codes(candidates)
         suffix_products = self._suffix_products(cand_matrix)
         m = len(self._schema)
         total = np.zeros((cand_matrix.shape[0], seed_matrix.shape[0]), dtype=np.float64)

@@ -202,13 +202,16 @@ class ConditionalParameters:
         """Unchecked kernel of :meth:`configuration_indices`."""
         return bucketized_parent_matrix @ self._strides
 
-    def distribution(self, bucketized_parent_values: np.ndarray | None = None) -> np.ndarray:
-        """The conditional distribution for one parent configuration."""
+    def _configuration(self, bucketized_parent_values: np.ndarray | None) -> int:
         if bucketized_parent_values is None:
             if self.parents:
                 raise ValueError("parent values are required for a non-root attribute")
-            return self.table[0]
-        return self.table[self.configuration_index(bucketized_parent_values)]
+            return 0
+        return self.configuration_index(bucketized_parent_values)
+
+    def distribution(self, bucketized_parent_values: np.ndarray | None = None) -> np.ndarray:
+        """The conditional distribution for one parent configuration."""
+        return self.table[self._configuration(bucketized_parent_values)]
 
     def probability(
         self, value: int, bucketized_parent_values: np.ndarray | None = None
@@ -224,9 +227,9 @@ class ConditionalParameters:
         rng: np.random.Generator,
         bucketized_parent_values: np.ndarray | None = None,
     ) -> int:
-        """Draw a value from the conditional distribution."""
-        distribution = self.distribution(bucketized_parent_values)
-        return int(rng.choice(distribution.size, p=distribution))
+        """Draw a value: one ``rng.random()`` inverted by :meth:`_sample_batch`."""
+        config = self._configuration(bucketized_parent_values)
+        return int(self._sample_batch(np.array([rng.random()]), np.array([config]))[0])
 
     def _check_configurations(self, configs: np.ndarray) -> None:
         if configs.size and (configs.min() < 0 or configs.max() >= self.num_configurations):

@@ -63,7 +63,7 @@ from repro.core.stream import STREAM_VERSION
 from repro.obs import Telemetry
 from repro.obs.profile import profiled
 from repro.service.engine_pool import EnginePool
-from repro.service.journal import BudgetJournal, read_journal
+from repro.service.journal import BudgetJournal, json_default, read_journal
 from repro.service.registry import ModelRegistry, PublishedModel
 from repro.service.scheduler import (
     DeadlineExceededError,
@@ -161,21 +161,6 @@ def _trailing_int(identifier: str) -> int:
     return int(digits) if digits else 0
 
 
-def _jsonable(value):
-    """Recursively convert numpy scalars so payloads survive ``json.dumps``."""
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
-
-
 @dataclass(frozen=True)
 class ReleaseRecord:
     """One completed release: its identity, rows and accounting."""
@@ -196,15 +181,14 @@ class ReleaseRecord:
     def decoded_rows(self, offset: int = 0, limit: int | None = None) -> list[list]:
         """A window of released rows decoded to raw attribute values.
 
-        Only the requested window is decoded, so paginating a large release
-        costs O(page), not O(total rows per page).
+        Only the window's rows are gathered, range-checked and decoded
+        (:meth:`~repro.datasets.schema.Schema.decode_rows`), so paginating a
+        large release costs O(page) per page plus one scan of the pass flags.
         """
-        from repro.datasets.dataset import Dataset
-
-        released = self.report.released_dataset()
-        stop = len(released.data) if limit is None else offset + limit
-        window = Dataset(released.schema, released.data[offset:stop])
-        return _jsonable(window.decoded_records())
+        report = self.report
+        stop = None if limit is None else offset + limit
+        window = np.flatnonzero(report["passed"])[offset:stop]
+        return report.schema.decode_rows(report["candidates"][window])
 
     def page(self, offset: int = 0, limit: int = _DEFAULT_PAGE_LIMIT) -> dict:
         """One page of released rows plus the offset of the next page."""
@@ -419,8 +403,8 @@ class ServiceApp:
         Sessions emit their reserve/commit/cancel/refusal events through
         this sink; replayed events are suppressed (they are already in the
         journal — re-appending them would double spend on the next replay).
+        The event is serialized only by a journal that writes it.
         """
-        event = _jsonable(event)
         self._audit(event)
         if self._journal is not None and not self._replaying:
             self._journal.append(event)
@@ -520,7 +504,7 @@ class ServiceApp:
         session = self._session(session_id)
         info = session.describe()
         if include_ledger:
-            info["ledger"] = _jsonable(session.ledger())
+            info["ledger"] = session.ledger()
         return info
 
     # ------------------------------------------------------------------ #
@@ -797,7 +781,7 @@ class ServiceApp:
                 409,
                 "budget_exceeded",
                 str(exc),
-                remaining=_jsonable(exc.remaining),
+                remaining=exc.remaining,
             ) from exc
         if obs is not None:
             now = obs.clock.monotonic()
@@ -1168,7 +1152,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------ #
     def _send_json(self, status: int, payload: dict, headers: dict | None = None) -> None:
-        body = json.dumps(_jsonable(payload)).encode()
+        body = json.dumps(payload, default=json_default).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -1302,9 +1286,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self.end_headers()
             header = record.describe()
             header["columns"] = record.report.schema.names
-            self.wfile.write((json.dumps(_jsonable(header)) + "\n").encode())
-            for row in record.decoded_rows():
-                self.wfile.write((json.dumps(_jsonable(row)) + "\n").encode())
+            lines = [json.dumps(header, default=json_default)]
+            lines.extend(map(json.dumps, record.decoded_rows()))
+            self.wfile.write(("\n".join(lines) + "\n").encode())
             self._serialize_span(obs, record, t_serialize, streamed=True)
             return
         limit = _as_int(body.get("limit"), "limit", _DEFAULT_PAGE_LIMIT)

@@ -25,7 +25,16 @@ import os
 import threading
 from pathlib import Path
 
-__all__ = ["BudgetJournal", "JournalCorruptionError", "read_journal"]
+import numpy as np
+
+__all__ = ["BudgetJournal", "JournalCorruptionError", "json_default", "read_journal"]
+
+
+def json_default(value):
+    """``json.dumps`` hook: a numpy scalar encodes as the Python value it holds."""
+    if isinstance(value, (np.integer, np.floating, np.bool_)):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class JournalCorruptionError(ValueError):
@@ -58,7 +67,7 @@ class BudgetJournal:
 
     def append(self, event: dict) -> None:
         """Write one event as a JSON line and flush it to the OS (or disk)."""
-        line = json.dumps(event, sort_keys=True)
+        line = json.dumps(event, sort_keys=True, default=json_default)
         with self._lock:
             if self._handle is None:
                 if self._path.parent != Path("."):

@@ -14,14 +14,15 @@ Spend is recorded on a shared :class:`~repro.privacy.accountant.PrivacyAccountan
 (whose ``spend`` is thread-safe), one entry per committed request, so the
 session's ledger composes with the standard accountant machinery and the
 conformance suite's :func:`~repro.testing.invariants.check_accountant_conservation`.
-Every budget event (reserve, commit, refusal, cancel) is additionally
-appended to an audit trail the service can persist as JSON lines.
+Every budget event (reserve, commit, refusal, cancel) also goes to an audit
+sink the service persists as JSON lines; the session keeps the newest ones.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,10 +30,15 @@ from repro.privacy.accountant import PrivacyAccountant
 
 __all__ = [
     "BudgetExceededError",
+    "LEDGER_EVENTS",
     "SessionBudget",
     "Reservation",
     "TenantSession",
 ]
+
+#: Budget events a session keeps for :meth:`TenantSession.ledger`, so its state
+#: stays flat; the journal and the audit log hold the whole history.
+LEDGER_EVENTS = 1024
 
 
 class BudgetExceededError(RuntimeError):
@@ -153,7 +159,7 @@ class TenantSession:
         self._spent = _Spent()  # repro: guarded-by[_lock]
         self._reserved = _Spent()  # repro: guarded-by[_lock]
         self._active: dict[str, Reservation] = {}  # repro: guarded-by[_lock]
-        self._events: list[dict] = []  # repro: guarded-by[_lock]
+        self._events: deque[dict] = deque(maxlen=LEDGER_EVENTS)  # repro: guarded-by[_lock]
         self._sequence = 0  # repro: guarded-by[_lock]
 
     def next_sequence(self) -> int:
@@ -350,7 +356,7 @@ class TenantSession:
             }
 
     def ledger(self) -> list[dict]:
-        """The full audit trail (reserve / commit / refusal / cancel events)."""
+        """The newest :data:`LEDGER_EVENTS` budget events, oldest first."""
         with self._lock:
             return [dict(event) for event in self._events]
 

@@ -53,7 +53,7 @@ class TestAttribute:
         raw = ["v3", "v0", "v4", "v0"]
         codes = attribute.encode(raw)
         assert codes.tolist() == [3, 0, 4, 0]
-        assert attribute.decode(codes) == raw
+        assert Schema([attribute]).decode_rows(codes[:, None]) == [[value] for value in raw]
 
     def test_encode_rejects_unknown_value(self):
         attribute = make_attribute(3)
@@ -61,9 +61,10 @@ class TestAttribute:
             attribute.encode(["v9"])
 
     def test_decode_rejects_out_of_range_code(self):
-        attribute = make_attribute(3)
-        with pytest.raises(ValueError, match="out of range"):
-            attribute.decode(np.array([5]))
+        schema = Schema([make_attribute(2, name="first"), make_attribute(3)])
+        for code in (3, -1):
+            with pytest.raises(ValueError, match="outside the domain.*'attr'"):
+                schema.decode_rows(np.array([[0, 0], [1, code]]))
 
     def test_bucketize_without_buckets_is_identity(self):
         attribute = make_attribute(6)
@@ -142,3 +143,22 @@ class TestSchema:
 
     def test_repr_mentions_attribute_names(self, toy_schema):
         assert "age" in repr(toy_schema)
+
+    def test_decode_rows_returns_python_values(self):
+        schema = Schema(
+            [
+                Attribute("n", AttributeType.NUMERICAL, tuple(np.arange(10, 13))),
+                make_attribute(2),
+            ]
+        )
+        rows = schema.decode_rows(np.array([[2, 1], [0, 0]]))
+        assert rows == [[12, "v1"], [10, "v0"]]
+        assert type(rows[0][0]) is int
+        assert schema.decode_rows(np.empty((0, 2), dtype=np.int64)) == []
+
+    def test_value_tables_stay_out_of_the_pickled_state(self, toy_schema):
+        fresh = pickle.dumps(Schema(list(toy_schema.attributes)))
+        decoding = Schema(list(toy_schema.attributes))
+        decoding.decode_rows(np.zeros((1, 4), dtype=np.int64))
+        assert pickle.dumps(decoding) == fresh
+        assert pickle.loads(fresh).decode_rows([[19, 2, 1, 1]]) == [[19, "blue", "large", "yes"]]

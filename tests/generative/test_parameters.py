@@ -301,6 +301,23 @@ class TestConditionalParameters:
                 counts=np.zeros((1, 3)),
             )
 
+    def test_scalar_sample_accepts_every_table_the_constructor_accepts(self):
+        # The row sums to 1 + 5e-7: inside the constructor's 1e-6 tolerance
+        # but outside rng.choice's ~1.5e-8, which the scalar path used to
+        # call.  It draws one double, like one row of sample_batch.
+        table = ConditionalParameters(
+            attribute_index=0,
+            parents=(),
+            parent_cardinalities=(),
+            table=[[0.5, 0.5 + 5e-7]],
+            counts=np.zeros((1, 2)),
+        )
+        scalar_rng, batch_rng = np.random.default_rng(7), np.random.default_rng(7)
+        scalar = [table.sample(scalar_rng) for _ in range(200)]
+        batch = table.sample_batch(batch_rng, np.zeros(200, dtype=np.int64))
+        assert scalar == batch.tolist()
+        assert set(scalar) == {0, 1}
+
 
 class TestParameterLearner:
     def test_learned_conditionals_reflect_planted_dependence(self, toy_dataset, toy_structure):

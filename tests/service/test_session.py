@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.service.session import (
+    LEDGER_EVENTS,
     BudgetExceededError,
     SessionBudget,
     TenantSession,
@@ -158,3 +159,20 @@ class TestConcurrency:
         session.commit(reservation, 2)
         assert [event["event"] for event in events] == ["reserve", "commit"]
         assert session.ledger() == events
+
+    def test_ledger_keeps_the_newest_events(self):
+        events = []
+        session = make_session(SessionBudget(), audit_sink=events.append)
+        requests = LEDGER_EVENTS + 10
+        for index in range(requests):
+            session.commit(session.reserve(f"r{index}", 1), 1)
+        ledger = session.ledger()
+        assert len(ledger) == LEDGER_EVENTS
+        assert ledger == events[-LEDGER_EVENTS:]
+        assert ledger[-1]["event"] == "commit"
+        assert ledger[-1]["request_id"] == f"r{requests - 1}"
+        # The sink, like the journal behind it, still saw every event, and
+        # the accountant still holds every commit.
+        assert len(events) == 2 * requests
+        assert session.spent()["rows"] == requests
+        assert len(session.accountant.entries) == requests
