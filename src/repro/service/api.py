@@ -1151,23 +1151,32 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
+    def _send(self, status: int, headers: dict, body: bytes) -> None:
+        """Send the status line, ``headers`` and ``body`` in one socket write.
+
+        ``end_headers`` would write the header block on its own, ahead of
+        the body, so the blank line and the body join the header buffer.
+        """
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, str(value))
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # an HTTP/0.9 response is the body alone
+            return
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
+
     def _send_json(self, status: int, payload: dict, headers: dict | None = None) -> None:
         body = json.dumps(payload, default=json_default).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(
+            status,
+            {"Content-Type": "application/json", "Content-Length": len(body), **(headers or {})},
+            body,
+        )
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
         body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, {"Content-Type": content_type, "Content-Length": len(body)}, body)
 
     def _read_json(self) -> dict:
         header = self.headers.get("Content-Length", 0) or 0
@@ -1198,8 +1207,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._route(method, parsed.path.rstrip("/") or "/", query)
         except ServiceError as exc:
             self._send_json(exc.status, exc.to_json(), headers=exc.headers())
-        except BrokenPipeError:
-            pass  # client went away mid-response
+        except ConnectionError:
+            pass  # the client hung up or reset the connection mid-request
         except Exception as exc:  # pragma: no cover - defensive 500
             self._send_json(
                 500, {"error": f"{type(exc).__name__}: {exc}", "code": "internal"}
@@ -1281,14 +1290,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         t_serialize = obs.clock.monotonic() if obs is not None else 0.0
         if body.get("stream"):
             # NDJSON stream: one header line, then one line per released row.
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.end_headers()
             header = record.describe()
             header["columns"] = record.report.schema.names
             lines = [json.dumps(header, default=json_default)]
             lines.extend(map(json.dumps, record.decoded_rows()))
-            self.wfile.write(("\n".join(lines) + "\n").encode())
+            self._send(
+                200, {"Content-Type": "application/x-ndjson"}, ("\n".join(lines) + "\n").encode()
+            )
             self._serialize_span(obs, record, t_serialize, streamed=True)
             return
         limit = _as_int(body.get("limit"), "limit", _DEFAULT_PAGE_LIMIT)

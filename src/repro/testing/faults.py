@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
+    "DelayChunk",
     "DispatchDelayFault",
     "KillWorkerAtChunk",
     "truncate_file_tail",
@@ -64,6 +65,22 @@ class KillWorkerAtChunk:
             for attempt in range(self.times)
             if (Path(self.marker_dir) / f"kill.{attempt}").exists()
         )
+
+
+@dataclass(frozen=True)
+class DelayChunk:
+    """Hold the worker assigned ``chunk_index`` for ``seconds`` before it runs it.
+
+    Fixes the order in which a pool's results reach the parent, so a test can
+    watch what the parent assigns while that chunk is still in flight.
+    """
+
+    chunk_index: int
+    seconds: float
+
+    def fire(self, chunk_index: int) -> None:
+        if chunk_index == self.chunk_index:
+            time.sleep(self.seconds)
 
 
 @dataclass(frozen=True)

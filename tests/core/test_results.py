@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.results import COLUMNS, SynthesisReport
+from repro.core.results import COLUMNS, SynthesisReport, narrow_columns
 
 
 def make_block(schema, passed=(True,), seed_index=0, value=0):
@@ -227,3 +227,53 @@ def test_merged_truncation_matches_the_plain_loop(toy_schema, mask, data):
         assert_same_columns(make_block(toy_schema, mask[:kept]), merged)
         assert merged.num_released == min(target, sum(mask))
     assert_same_columns(make_block(toy_schema, mask), SynthesisReport.merged(toy_schema, parts))
+
+
+#: Values at every edge of the dtypes an integer column can be narrowed to.
+DTYPE_EDGES = [-1, 0, 2**7, 2**8, 2**15, 2**16, 2**31, 2**63 - 1]
+
+
+def _smallest_itemsize(column) -> int:
+    """Bytes per value of the smallest signed or unsigned dtype holding ``column``."""
+    low, high = int(column.min()), int(column.max())
+    for size in (1, 2, 4):
+        bits = 8 * size
+        if 0 <= low and high < 2**bits or -(2 ** (bits - 1)) <= low and high < 2 ** (bits - 1):
+            return size
+    return 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_narrowed_columns_widen_back_exactly(toy_schema, data):
+    rows = data.draw(st.integers(0, 5))
+    edge = st.sampled_from(DTYPE_EDGES).flatmap(
+        lambda value: st.sampled_from([value - 1, value, value + 1])
+    ).filter(lambda value: -(2**63) <= value < 2**63)
+
+    def integers(*shape):
+        values = data.draw(st.lists(edge, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        return np.array(values, dtype=np.int64).reshape(shape)
+
+    arrays = {
+        "seed_indices": integers(rows),
+        "candidates": integers(rows, len(toy_schema)),
+        "passed": np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), bool),
+        "plausible_seeds": integers(rows),
+        "partition_indices": integers(rows),
+        "thresholds": np.linspace(-1.0, 1.0, rows),
+        "records_checked": integers(rows),
+        "count_saturated": np.zeros(rows, dtype=bool),
+    }
+    narrowed = narrow_columns(arrays)
+    for name, column in arrays.items():
+        if column.dtype == np.int64 and rows:
+            assert narrowed[name].dtype.itemsize == _smallest_itemsize(column), name
+            assert narrowed[name].dtype.kind in "iu", name
+        else:
+            assert narrowed[name] is column, name
+    report = SynthesisReport.from_arrays(toy_schema, narrowed)
+    for name, dtype in COLUMNS.items():
+        assert report[name].dtype == dtype, name
+        assert report[name].shape == arrays[name].shape, name
+        assert np.array_equal(report[name], arrays[name]), name
