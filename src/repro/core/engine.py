@@ -68,14 +68,15 @@ service all go through it — and is a long-lived execution layer:
   columns fail the resume loudly.
 
 * **Worker supervision with deterministic chunk retry.**  The parent blocks
-  on every worker's pipe and process sentinel at once, so it sees a death as
-  soon as it happens, and the dead worker's one assignment is exactly the
-  chunk it lost.  The parent respawns the worker against the *existing*
-  shared-memory segments and requeues that chunk, charging it against
-  ``max_chunk_retries``; the re-execution is bit-identical because a chunk's
-  content is a pure function of its attempt range.  Past the bound the job
-  fails with :class:`ChunkRetryExhaustedError` while the pool (already
-  repaired) stays usable.  A SIGKILL mid-send truncates only the dead
+  on every worker's pipe and process sentinel at once, through one selector
+  that registers a worker's two descriptors when it starts, so it sees a
+  death as soon as it happens, and the dead worker's one assignment is
+  exactly the chunk it lost.  The parent respawns the worker against the
+  *existing* shared-memory segments and requeues that chunk, charging it
+  against ``max_chunk_retries``; the re-execution is bit-identical because a
+  chunk's content is a pure function of its attempt range.  Past the bound
+  the job fails with :class:`ChunkRetryExhaustedError` while the pool
+  (already repaired) stays usable.  A SIGKILL mid-send truncates only the dead
   worker's own pipe, so no other worker's results are lost or held up.  The
   results of an abandoned job (a progress callback raised, a retry budget
   ran out) still arrive later and are dropped by job id.  A worker that
@@ -98,11 +99,12 @@ import ctypes
 import dataclasses
 import hashlib
 import itertools
+import selectors
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from multiprocessing.connection import Connection, wait
+from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from multiprocessing.shared_memory import SharedMemory
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -561,6 +563,9 @@ class SynthesisEngine:
         self._broken = False
         self._worker_spec: _WorkerSpec | None = None
         self._workers: list[_Worker] = []
+        # One selector over every worker's pipe and process sentinel, keyed
+        # by slot; a worker's two entries live as long as the worker.
+        self._selector: selectors.BaseSelector | None = None
         self._segments: list[SharedMemory] = []
         # Supervision bookkeeping.
         self._worker_restarts = 0
@@ -612,8 +617,9 @@ class SynthesisEngine:
             return self
         self._worker_spec = self._build_worker_spec()
         self._started = True
-        for _ in range(self._num_workers):
-            self._workers.append(self._spawn_worker())
+        self._selector = selectors.DefaultSelector()
+        for slot in range(self._num_workers):
+            self._workers.append(self._spawn_worker(slot))
         while any(worker.task is _STARTING for worker in self._workers):
             for slot, message in self._events():
                 failure = "the worker died" if message is None else message[3]
@@ -626,8 +632,8 @@ class SynthesisEngine:
                 self._workers[slot].task = None
         return self
 
-    def _spawn_worker(self) -> _Worker:
-        """Start one worker against the existing segments."""
+    def _spawn_worker(self, slot: int) -> _Worker:
+        """Start one worker against the existing segments and watch it as ``slot``."""
         context = get_context("spawn")
         conn, child_conn = context.Pipe()
         try:
@@ -645,6 +651,8 @@ class SynthesisEngine:
             # Only the worker may hold its end: when it dies mid-send, the
             # parent's recv must raise instead of waiting for the rest.
             child_conn.close()
+        self._selector.register(conn, selectors.EVENT_READ, slot)
+        self._selector.register(process.sentinel, selectors.EVENT_READ, slot)
         return _Worker(process, conn)
 
     def close(self) -> None:
@@ -652,6 +660,8 @@ class SynthesisEngine:
         if self._closed:
             return
         self._closed = True
+        if self._selector is not None:
+            self._selector.close()
         for worker in self._workers:
             # The worker reads EOF, or fails to send its result, and exits.
             worker.conn.close()
@@ -969,23 +979,18 @@ class SynthesisEngine:
     def _events(self) -> list[tuple[int, tuple | None]]:
         """Block until workers send a message or die: ``(slot, message)`` each.
 
-        ``message`` is None for a dead worker.  A worker's complete messages
-        are read before its death is reported; a message a SIGKILL cut short
-        truncates only that worker's own pipe and reads as its death.
+        ``message`` is None for a dead worker.  A worker's pipe closes only
+        when the worker exits, so a ready slot's pipe holds a message or ends:
+        ``recv`` returns a complete message before the death is reported on a
+        later call, and a message a SIGKILL cut short truncates only that
+        worker's own pipe and reads as its death.
         """
-        ready = set(
-            wait(
-                [worker.conn for worker in self._workers if worker.task is not None]
-                + [worker.process.sentinel for worker in self._workers]
-            )
-        )
         events = []
-        for slot, worker in enumerate(self._workers):
-            if worker.conn in ready or worker.process.sentinel in ready:
-                try:
-                    events.append((slot, worker.conn.recv() if worker.conn.poll() else None))
-                except (EOFError, OSError):
-                    events.append((slot, None))
+        for slot in sorted({key.data for key, _ in self._selector.select()}):
+            try:
+                events.append((slot, self._workers[slot].conn.recv()))
+            except (EOFError, OSError):
+                events.append((slot, None))
         return events
 
     def _respawn(self, slot: int) -> _Assignment | None:
@@ -996,10 +1001,14 @@ class SynthesisEngine:
         self._emit_event(
             "worker_restart", {"slot": slot, "lost_chunk": -1 if lost is None else lost.index}
         )
+        # Unwatched before its descriptors close, so the new worker's may
+        # reuse their numbers.
+        self._selector.unregister(worker.conn)
+        self._selector.unregister(worker.process.sentinel)
         worker.process.kill()  # a worker whose pipe broke is exiting anyway
         worker.process.join()
         worker.conn.close()
-        self._workers[slot] = self._spawn_worker()  # raises EngineBrokenError on failure
+        self._workers[slot] = self._spawn_worker(slot)  # raises EngineBrokenError on failure
         return lost
 
     def _charge(self, index: int) -> int:

@@ -21,7 +21,11 @@ Figure 5).  Randomness comes from a counter-addressed
 :class:`~repro.core.stream.AttemptStream`: attempt i reads only its own
 words, so its seed, candidate and decision are a pure function of (base
 seed, i), and batch sizes are a speed knob that cannot change a row.
-Attempts come back as column blocks
+Without subset-scan knobs a batch walks σ once: the walk that samples the
+candidates also forms their factors q_ω(y), and the prefix-key index
+answers the largest ω's match counts from each seed's own key multiplicity,
+since a candidate keeps its seed's fixed prefix for that ω.  With a single ω
+no candidate is keyed at all.  Attempts come back as column blocks
 (:class:`~repro.core.results.SynthesisReport`).  The one-candidate-at-a-time
 transcription of the paper's loop survives only as a test oracle,
 :func:`repro.testing.invariants.reference_attempt`.
@@ -56,6 +60,14 @@ def _attempts_for(needed: int, report: SynthesisReport) -> int:
     return -(-needed * report.num_attempts // report.num_released)
 
 
+def _has_match_structure(model) -> bool:
+    """Whether ``model`` exposes what the prefix-key index counts through."""
+    return all(
+        hasattr(model, name)
+        for name in ("fixed_prefix_keys", "candidate_factor_suffix_products", "omegas")
+    )
+
+
 class _SeedMatchIndex:
     """Fixed-prefix key multiplicities of the seed dataset, one table per ω.
 
@@ -67,6 +79,13 @@ class _SeedMatchIndex:
     ``searchsorted`` per ω and batch answers every candidate, making the per-
     candidate cost of the privacy test (nearly) independent of the seed-set
     size instead of linear in it.
+
+    The largest ω of the set needs no search.  A candidate re-samples at most
+    that many attributes, so it keeps its seed's fixed prefix for the largest
+    ω, and its multiplicity there is its seed's own: ``seed_counts[i]`` is the
+    multiplicity of seed record i's key for the largest ω, and a batch's
+    counts for that ω are one gather by seed index.  With a single ω that is
+    every count the test needs.
     """
 
     def __init__(self, model, seed_data: np.ndarray):
@@ -90,6 +109,8 @@ class _SeedMatchIndex:
             # lands, and the lookup needs no bounds check.
             self.keys[omega] = np.append(distinct, np.iinfo(np.int64).max)
             self.counts[omega] = np.append(counts, 0)
+        # The loop ended on the largest ω, so ``keys`` are the seeds' own.
+        self.seed_counts = self.multiplicities(self.omegas[-1], keys)
 
     def multiplicities(self, omega: int, keys: np.ndarray) -> np.ndarray:
         """Number of seed records whose ω fixed-prefix key equals each of ``keys``."""
@@ -144,11 +165,7 @@ class SynthesisMechanism:
         own lookup tables are derived when it is constructed or unpickled).
         A no-op for models without the match-structure interface.
         """
-        if self._match_index is None and (
-            hasattr(self._model, "fixed_prefix_keys")
-            and hasattr(self._model, "candidate_factor_suffix_products")
-            and hasattr(self._model, "omegas")
-        ):
+        if self._match_index is None and _has_match_structure(self._model):
             self._match_index = _SeedMatchIndex(self._model, self._seeds.data)
         return self
 
@@ -169,17 +186,27 @@ class SynthesisMechanism:
         each candidate and release decision is the one the paper's
         one-candidate loop would make for that attempt index, whatever the
         batch.  The kernels' arrays become the block's columns as they are.
+        When the prefix-key index counts, the walk over σ that samples the
+        candidates also forms their factors q_ω(y), so σ is walked once per
+        batch.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
+        num_attributes = len(self._seeds.schema)
         with obs_phase("sample"):
-            words = stream.take(batch_size, len(self._seeds.schema))
+            words = stream.take(batch_size, num_attributes)
             seed_indices = words.seed_indices(len(self._seeds))
-            candidates = self._model.generate_batch(
-                np.take(self._seeds.data, seed_indices, axis=0), words
-            )
+            seeds = np.take(self._seeds.data, seed_indices, axis=0)
+            if self._counts_from_index():
+                suffix_products = np.empty((num_attributes + 1, batch_size))
+                candidates = self._model.generate_batch(
+                    seeds, words, suffix_products=suffix_products
+                )
+            else:
+                suffix_products = None
+                candidates = self._model.generate_batch(seeds, words)
         with obs_phase("privacy_test"):
-            fast_counts = self._fast_batch_counts(seed_indices, candidates)
+            fast_counts = self._fast_batch_counts(seed_indices, candidates, suffix_products)
             if fast_counts is not None:
                 counts, partitions, checked, saturated = fast_counts
                 tested = self._test.results_from_counts(
@@ -202,8 +229,25 @@ class SynthesisMechanism:
             {"seed_indices": seed_indices, "candidates": candidates, **tested},
         )
 
+    def _counts_from_index(self) -> bool:
+        """Whether :meth:`_fast_batch_counts` may count through the index.
+
+        It may unless early-termination knobs request subset scans or the
+        model lacks the match-structure interface (it still returns ``None``
+        when the model's prefix keys would overflow).
+        """
+        params = self._params
+        return (
+            params.max_check_plausible is None
+            and params.max_plausible is None
+            and _has_match_structure(self._model)
+        )
+
     def _fast_batch_counts(
-        self, seed_indices: np.ndarray, candidates: np.ndarray
+        self,
+        seed_indices: np.ndarray,
+        candidates: np.ndarray,
+        suffix_products: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
         """Exact plausible counts via the sorted prefix-key index, or ``None``.
 
@@ -215,18 +259,17 @@ class SynthesisMechanism:
         on the handful of per-class probabilities.  Produces the same counts
         as the dense probability-matrix path without materializing it.
 
+        ``candidates[r]`` must have been generated from seed record
+        ``seed_indices[r]``.  ``suffix_products`` are the rows
+        ``generate_batch`` filled while sampling the candidates; without them
+        the candidates' factors are computed here by
+        ``candidate_factor_suffix_products``.
+
         Returns ``None`` when the fast path does not apply: early-termination
         knobs request subset scans, or the model does not expose the
         match-structure interface.
         """
-        params = self._params
-        if params.max_check_plausible is not None or params.max_plausible is not None:
-            return None
-        if not (
-            hasattr(self._model, "fixed_prefix_keys")
-            and hasattr(self._model, "candidate_factor_suffix_products")
-            and hasattr(self._model, "omegas")
-        ):
+        if not self._counts_from_index():
             return None
         if self._match_index is None:
             self._match_index = _SeedMatchIndex(self._model, self._seeds.data)
@@ -235,35 +278,51 @@ class SynthesisMechanism:
             return None
 
         omegas = index.omegas
+        widest = omegas[-1]
         num_omegas = len(omegas)
         num_candidates = candidates.shape[0]
-        suffix_products = self._model.candidate_factor_suffix_products(candidates)
+        if suffix_products is None:
+            suffix_products = self._model.candidate_factor_suffix_products(candidates)
         factors = suffix_products[index.factor_rows]
         # class_probability[j] = Pr of a record whose longest matching prefix
         # is fixed(ω_j): it matches every looser prefix too, so its ω-averaged
         # probability is the suffix sum of the candidate factors.
         class_probabilities = np.cumsum(factors[::-1], axis=0)[::-1] / num_omegas
 
-        keys = [self._model.fixed_prefix_keys(candidates, omega) for omega in omegas]
+        # A candidate keeps its seed's prefix for the largest ω, so it shares
+        # its seed's multiplicity there; only smaller ω key the candidate.
+        keys = {
+            omega: self._model.fixed_prefix_keys(candidates, omega)
+            for omega in set(omegas) - {widest}
+        }
+        seed_counts = index.seed_counts[seed_indices]
         cumulative_matches = np.array(
-            [index.multiplicities(omega, key) for omega, key in zip(omegas, keys)]
+            [
+                seed_counts if omega == widest else index.multiplicities(omega, keys[omega])
+                for omega in omegas
+            ]
         )
         # Prefix nesting makes the cumulative match counts monotone in j;
         # differencing yields the exact per-class counts.
         class_counts = np.diff(cumulative_matches, axis=0, prepend=0)
 
-        class_partitions = partition_numbers(class_probabilities, params.gamma)
-        # The true seed always matches the prefix of its drawn ω, so its class
-        # is the first matching one.  With one distinct ω that is class 0: the
-        # candidate copied the seed's fixed prefix.
-        if len(index.keys) == 1:
+        class_partitions = partition_numbers(class_probabilities, self._params.gamma)
+        # The true seed always matches the prefix of its drawn ω and of every
+        # larger one, so its class is the first matching one.  With one
+        # distinct ω that is class 0: the candidate copied the seed's prefix.
+        if not keys:
             seed_partitions = class_partitions[0]
         else:
             seed_rows = np.take(self._seeds.data, seed_indices, axis=0)
+            seed_keys = {
+                omega: self._model.fixed_prefix_keys(seed_rows, omega) for omega in keys
+            }
             seed_matches = np.array(
                 [
-                    self._model.fixed_prefix_keys(seed_rows, omega) == key
-                    for omega, key in zip(omegas, keys)
+                    seed_keys[omega] == keys[omega]
+                    if omega in keys
+                    else np.ones(num_candidates, dtype=bool)
+                    for omega in omegas
                 ]
             )
             seed_class = np.argmax(seed_matches, axis=0)

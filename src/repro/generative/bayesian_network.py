@@ -18,7 +18,9 @@ y), the probability that any record d generates y factorizes as
 where q(y) is the product of the re-sampled conditionals evaluated at y.  This
 makes the plausible-seed count of the privacy test a simple (vectorized) match
 count — exactly the property the paper exploits to generate millions of
-records efficiently.
+records efficiently.  q(y)'s factors are the very conditionals y was sampled
+from, so the batch sampler can hand them back from the walk that drew y
+(``generate_batch(..., suffix_products=...)``) instead of a second walk over σ.
 
 The ω parameter can be a single integer or a collection of integers; in the
 latter case ω is drawn uniformly per generated record ("ω ∈R [5-11]" in the
@@ -50,7 +52,11 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
     checks, over lookup arrays derived once per model: the attributes' bucket
     tables, the tables' row CDFs and configuration strides, and the
     fixed-prefix key weights of every ω.  The derived arrays are not part of
-    the pickled state; unpickling rebuilds them.
+    the pickled state; unpickling rebuilds them.  The mechanism's proposal
+    path walks σ once per batch: :meth:`generate_batch` fills the candidates'
+    suffix products as it samples them, and
+    :meth:`candidate_factor_suffix_products` stays as their oracle and as the
+    dense probability matrix's kernel.
     """
 
     seed_dependent = True
@@ -261,6 +267,7 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         seeds: np.ndarray,
         words,
         omegas: np.ndarray | None = None,
+        suffix_products: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorized ancestral re-sampling over every row of ``seeds`` at once.
 
@@ -268,6 +275,18 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         whose ω covers that attribute draw a new value together through one
         vectorized conditional-table lookup, so the per-record Python overhead
         of :meth:`generate` is amortized over the whole batch.
+
+        The same walk can also produce the candidates' factors q_ω(y), which
+        the privacy test needs next.  A position's parents come earlier in σ,
+        so when the walk reaches position p every row's parents already hold
+        their final values and the configuration index it samples from is the
+        one q(y) is evaluated at.  With ``suffix_products`` given, the walk
+        starts at position m − W, where W is the largest of the configured and
+        the drawn ω, gathers ``table[config, value]`` for every row at every
+        position from there, and multiplies the rows backwards exactly as
+        :meth:`candidate_factor_suffix_products` does.  Products of the same
+        factors in the same order round the same way, so the filled rows equal
+        that method's rows m − W to m bit for bit.
 
         Parameters
         ----------
@@ -281,6 +300,10 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         omegas:
             Optional per-row ω values; drawn uniformly from the configured ω
             set when omitted.
+        suffix_products:
+            Optional float64 output array of shape (m + 1, records).  Rows
+            m − W to m receive the generated records' suffix products; the
+            rows above are left as they are.
         """
         matrix = self._schema.check_codes(seeds)
         m = len(self._schema)
@@ -296,6 +319,12 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
             omega_draws = np.asarray(omegas, dtype=np.int64)
             if omega_draws.shape != (num_rows,):
                 raise ValueError("omegas must hold one value per seed row")
+        if suffix_products is not None and (
+            suffix_products.shape != (m + 1, num_rows) or suffix_products.dtype != np.float64
+        ):
+            raise ValueError(
+                f"suffix_products must be a float64 array of shape ({m + 1}, {num_rows})"
+            )
         if num_rows == 0:
             return np.empty((0, m), dtype=np.int64)
         lowest, highest = int(omega_draws.min()), int(omega_draws.max())
@@ -304,18 +333,35 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
 
         records = matrix.copy()
         bucketized = self._bucketize(records)
+        first = m - highest
+        if suffix_products is not None:
+            first = min(first, m - max(self._omegas))
+            suffix_products[m] = 1.0
         # Attribute at position p is re-sampled for a row iff ω >= m - p: for
         # no row before position m - highest, for every row from m - lowest.
-        for position in range(m - highest, m):
+        for position in range(first, m):
             attribute, parents, table, bucket_table = self._plan[position]
+            configs = table._configuration_indices(bucketized[:, parents])
             if position >= m - lowest:
-                rows = slice(None)
+                values = table._sample_batch(words.position(position), configs)
+                records[:, attribute] = values
+                bucketized[:, attribute] = bucket_table[values]
             else:
-                rows = np.nonzero(omega_draws >= m - position)[0]
-            configs = table._configuration_indices(bucketized[rows][:, parents])
-            values = table._sample_batch(words.position(position)[rows], configs)
-            records[rows, attribute] = values
-            bucketized[rows, attribute] = bucket_table[values]
+                if position >= m - highest:
+                    rows = np.nonzero(omega_draws >= m - position)[0]
+                    sampled = table._sample_batch(words.position(position)[rows], configs[rows])
+                    records[rows, attribute] = sampled
+                    bucketized[rows, attribute] = bucket_table[sampled]
+                values = records[:, attribute]
+            if suffix_products is not None:
+                suffix_products[position] = table._probabilities_batch(values, configs)
+        if suffix_products is not None:
+            for position in range(m - 1, first - 1, -1):
+                np.multiply(
+                    suffix_products[position + 1],
+                    suffix_products[position],
+                    out=suffix_products[position],
+                )
         return records
 
     # ------------------------------------------------------------------ #

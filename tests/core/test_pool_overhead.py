@@ -303,3 +303,41 @@ class TestSpeculationOnALivePool:
         expected = self._in_process(unnoised_model, acs_splits, params, target, seed)
         assert_reports_identical(expected, report)
         assert report.num_released == target
+
+
+# --------------------------------------------------------------------------- #
+# One selector in the parent
+# --------------------------------------------------------------------------- #
+def test_a_release_neither_waits_through_a_fresh_selector_nor_polls(
+    unnoised_model, acs_splits, params, monkeypatch
+):
+    # The parent watches every worker's pipe and sentinel through one
+    # selector registered when the worker starts. multiprocessing's wait()
+    # builds a selector per call, and poll() builds another per pipe.
+    import multiprocessing.connection as connection
+
+    from repro.core import engine as engine_module
+
+    calls = []
+
+    def counted(name, original):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return spy
+
+    options = dict(chunk_size=2048, batch_size=2048)
+    with _engine(unnoised_model, acs_splits, params, num_workers=2, **options) as engine:
+        engine.start()
+        spied_wait = counted("wait", connection.wait)
+        monkeypatch.setattr(connection, "wait", spied_wait)
+        # Also the name, should the engine import it from the module.
+        monkeypatch.setattr(engine_module, "wait", spied_wait, raising=False)
+        monkeypatch.setattr(Connection, "poll", counted("poll", Connection.poll))
+        reports = [engine.generate(3000, base_seed=seed) for seed in (4, 5)]
+        monkeypatch.undo()
+    assert calls == []
+    with _engine(unnoised_model, acs_splits, params, **options) as engine:
+        for seed, report in zip((4, 5), reports):
+            assert_reports_identical(engine.generate(3000, base_seed=seed), report)

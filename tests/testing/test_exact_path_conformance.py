@@ -44,7 +44,7 @@ _FIT_CACHE: dict = {}
 class _DenseScanMechanism(SynthesisMechanism):
     """Mechanism 1 with the prefix-key index switched off."""
 
-    def _fast_batch_counts(self, seed_indices, candidates):
+    def _fast_batch_counts(self, seed_indices, candidates, suffix_products=None):
         return None
 
 
@@ -131,8 +131,8 @@ def test_pipeline_release_and_ledger_digests_match(name, mode, monkeypatch):
     index_counts: list[bool] = []
     fast_batch_counts = SynthesisMechanism._fast_batch_counts
 
-    def observed_fast_batch_counts(mechanism, seed_indices, candidates):
-        counts = fast_batch_counts(mechanism, seed_indices, candidates)
+    def observed_fast_batch_counts(mechanism, seed_indices, candidates, suffix_products=None):
+        counts = fast_batch_counts(mechanism, seed_indices, candidates, suffix_products)
         index_counts.append(counts is not None)
         return counts
 

@@ -158,9 +158,9 @@ class TestBatchedParityChecker:
         mechanism = tiny_fit.pipeline.mechanism
         original = type(mechanism)._fast_batch_counts
 
-        def off_by_one(self, seed_indices, candidates):
+        def off_by_one(self, seed_indices, candidates, suffix_products=None):
             counts, partitions, checked, saturated = original(
-                self, seed_indices, candidates
+                self, seed_indices, candidates, suffix_products
             )
             return counts + 1, partitions, checked, saturated
 
@@ -179,7 +179,9 @@ class TestBatchedParityChecker:
         fit = get_scenario("tiny-n").fit(seed=0)
         mechanism = SynthesisMechanism(fit.model, fit.seeds, fit.params)
         monkeypatch.setattr(
-            mechanism, "_fast_batch_counts", lambda seed_indices, candidates: None
+            mechanism,
+            "_fast_batch_counts",
+            lambda seed_indices, candidates, suffix_products=None: None,
         )
         return mechanism
 
