@@ -10,6 +10,7 @@ generated data.
 import numpy as np
 from conftest import run_once
 
+from repro.core.stream import attempt_stream
 from repro.experiments.harness import ExperimentResult
 from repro.generative.builder import GenerativeModelSpec, fit_bayesian_network
 from repro.stats.distance import pairwise_attribute_distances
@@ -25,8 +26,11 @@ def _generate(context, sample_parameters, num_records=1_500):
     model = fit_bayesian_network(
         context.splits.structure, context.splits.parameters, spec=spec, rng=context.rng(120)
     )
-    rng = context.rng(121)
-    return np.vstack([model.sample_record(rng) for _ in range(num_records)])
+    # Ancestral sampling: every attribute re-sampled, whatever the seed rows.
+    m = len(model.schema)
+    words = attempt_stream(int(context.rng(121).integers(2**63))).take(num_records, m)
+    seeds = np.zeros((num_records, m), dtype=np.int64)
+    return model.generate_batch(seeds, words, omegas=np.full(num_records, m))
 
 
 def _compare(context):

@@ -9,6 +9,7 @@ number of edges and the pairwise statistical fidelity of sampled records.
 import numpy as np
 from conftest import run_once
 
+from repro.core.stream import attempt_stream
 from repro.experiments.harness import ExperimentResult
 from repro.generative.builder import GenerativeModelSpec, fit_bayesian_network
 from repro.generative.structure import StructureLearningConfig
@@ -16,8 +17,11 @@ from repro.stats.distance import pairwise_attribute_distances
 
 
 def _fidelity(context, model, num_records=1_500):
-    rng = context.rng(111)
-    records = np.vstack([model.sample_record(rng) for _ in range(num_records)])
+    # Ancestral sampling: every attribute re-sampled, whatever the seed rows.
+    m = len(model.schema)
+    words = attempt_stream(int(context.rng(111).integers(2**63))).take(num_records, m)
+    seeds = np.zeros((num_records, m), dtype=np.int64)
+    records = model.generate_batch(seeds, words, omegas=np.full(num_records, m))
     reference = context.reals_dataset(num_records).data
     distances = pairwise_attribute_distances(
         reference, records, context.dataset.schema.cardinalities

@@ -14,6 +14,8 @@ Run with:  python examples/privacy_parameter_study.py
 
 import numpy as np
 
+from repro.core import SynthesisMechanism
+from repro.core.stream import attempt_stream
 from repro.datasets import load_acs
 from repro.datasets.splits import split_dataset
 from repro.generative.builder import GenerativeModelSpec, fit_bayesian_network
@@ -22,7 +24,6 @@ from repro.privacy import (
     minimum_k_for_delta,
     theorem1_guarantee,
 )
-from repro.privacy.plausible_deniability import partition_numbers
 
 
 def theorem1_table() -> None:
@@ -38,8 +39,9 @@ def theorem1_table() -> None:
 def pass_rate_table() -> None:
     data = load_acs(num_records=60_000, seed=5)
     splits = split_dataset(data, rng=np.random.default_rng(0))
-    rng = np.random.default_rng(1)
-    gamma = 2.0
+    # With k = 1 every attempt passes and reports its plausible-seed count,
+    # so one run of 300 attempts per omega serves every k of the table.
+    count_only = PlausibleDeniabilityParams(k=1, gamma=2.0)
     print("\nprivacy-test pass rate (gamma=2, 300 candidates per cell):")
     header = "  omega   " + "".join(f"k={k:<6d}" for k in (25, 50, 100, 200))
     print(header)
@@ -50,16 +52,8 @@ def pass_rate_table() -> None:
             spec=GenerativeModelSpec(omega=omega, epsilon_structure=None, epsilon_parameters=None),
             rng=np.random.default_rng(2),
         )
-        counts = []
-        for _ in range(300):
-            seed_index = int(rng.integers(len(splits.seeds)))
-            seed = splits.seeds.record(seed_index)
-            candidate = model.generate(seed, rng)
-            probabilities = model.batch_seed_probabilities(splits.seeds.data, candidate)
-            seed_probability = model.seed_probability(seed, candidate)
-            seed_partition = partition_numbers(np.array([seed_probability]), gamma)[0]
-            counts.append(int(np.sum(partition_numbers(probabilities, gamma) == seed_partition)))
-        counts = np.array(counts)
+        mechanism = SynthesisMechanism(model, splits.seeds, count_only)
+        counts = mechanism.run_attempts(300, attempt_stream(1))["plausible_seeds"]
         rates = "".join(f"{np.mean(counts >= k):<8.1%}" for k in (25, 50, 100, 200))
         print(f"  {omega:<8d}{rates}")
 

@@ -9,18 +9,16 @@ Given a generative model M, a seed dataset D and privacy parameters (k, γ)
 4. releases y iff the test passes (otherwise there is no output).
 
 The test counts *plausible seeds*: records of D whose probability of
-generating y falls into the same geometric bucket as the true seed's.  The
-mechanism asks the model for those probabilities via
-``batch_seed_probabilities`` so that models can vectorize the computation.
+generating y falls into the same geometric bucket as the true seed's.
 
-The mechanism has one proposal path: :meth:`propose_batch` pushes a block of
-seeds through the model's vectorized generation and probability interfaces,
-and :meth:`run_attempts` loops over such blocks, optionally stopping at the
-n-th release — the hot path for producing millions of records (Section 5,
-Figure 5).  Randomness comes from a counter-addressed
-:class:`~repro.core.stream.AttemptStream`: attempt i reads only its own
-words, so its seed, candidate and decision are a pure function of (base
-seed, i), and batch sizes are a speed knob that cannot change a row.
+The model is the Bayesian-network synthesizer, and the mechanism has one
+proposal path: :meth:`propose_batch` pushes a block of seeds through the
+model's batch kernels, and :meth:`run_attempts` loops over such blocks,
+optionally stopping at the n-th release — the hot path for producing
+millions of records (Section 5, Figure 5).  Randomness comes from a
+counter-addressed :class:`~repro.core.stream.AttemptStream`: attempt i reads
+only its own words, so its seed, candidate and decision are a pure function
+of (base seed, i), and batch sizes are a speed knob that cannot change a row.
 Without subset-scan knobs a batch walks σ once: the walk that samples the
 candidates also forms their factors q_ω(y), and the prefix-key index
 answers the largest ω's match counts from each seed's own key multiplicity,
@@ -28,7 +26,7 @@ since a candidate keeps its seed's fixed prefix for that ω.  With a single ω
 no candidate is keyed at all.  Attempts come back as column blocks
 (:class:`~repro.core.results.SynthesisReport`).  The one-candidate-at-a-time
 transcription of the paper's loop survives only as a test oracle,
-:func:`repro.testing.invariants.reference_attempt`.
+:func:`repro.testing.invariants.reference_propose`.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ import numpy as np
 from repro.core.results import SynthesisReport
 from repro.core.stream import AttemptStream
 from repro.datasets.dataset import Dataset
+from repro.generative.bayesian_network import BayesianNetworkSynthesizer
 from repro.obs.profile import phase as obs_phase
-from repro.generative.base import GenerativeModel
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
     make_privacy_test,
@@ -58,14 +56,6 @@ def _attempts_for(needed: int, report: SynthesisReport) -> int:
     if not report.num_released:
         return 2 * max(needed, report.num_attempts)
     return -(-needed * report.num_attempts // report.num_released)
-
-
-def _has_match_structure(model) -> bool:
-    """Whether ``model`` exposes what the prefix-key index counts through."""
-    return all(
-        hasattr(model, name)
-        for name in ("fixed_prefix_keys", "candidate_factor_suffix_products", "omegas")
-    )
 
 
 class _SeedMatchIndex:
@@ -88,7 +78,7 @@ class _SeedMatchIndex:
     every count the test needs.
     """
 
-    def __init__(self, model, seed_data: np.ndarray):
+    def __init__(self, model: BayesianNetworkSynthesizer, seed_data: np.ndarray):
         # Ascending ω (longest fixed prefix first), multiplicity preserved so
         # a non-uniform ω tuple keeps its weighting in the suffix sums.
         self.omegas: tuple[int, ...] = tuple(sorted(model.omegas))
@@ -124,7 +114,7 @@ class SynthesisMechanism:
 
     def __init__(
         self,
-        model: GenerativeModel,
+        model: BayesianNetworkSynthesizer,
         seed_dataset: Dataset,
         params: PlausibleDeniabilityParams,
     ):
@@ -142,7 +132,7 @@ class SynthesisMechanism:
         self._match_index: _SeedMatchIndex | None = None
 
     @property
-    def model(self) -> GenerativeModel:
+    def model(self) -> BayesianNetworkSynthesizer:
         """The generative model M."""
         return self._model
 
@@ -163,9 +153,8 @@ class SynthesisMechanism:
         long-lived engine workers call this once at startup so the one-off
         sort cost never lands inside a timed or dispatched chunk (the model's
         own lookup tables are derived when it is constructed or unpickled).
-        A no-op for models without the match-structure interface.
         """
-        if self._match_index is None and _has_match_structure(self._model):
+        if self._match_index is None:
             self._match_index = _SeedMatchIndex(self._model, self._seeds.data)
         return self
 
@@ -178,10 +167,9 @@ class SynthesisMechanism:
         """Run steps 1-3 of Mechanism 1 for the next ``batch_size`` attempts of ``stream``.
 
         Seeds are drawn, candidates generated and the privacy test evaluated
-        through the model's vectorized batch interfaces
-        (``generate_batch`` /
-        :meth:`~repro.generative.base.GenerativeModel.batch_probability_matrix`),
-        so the per-candidate Python overhead is amortized over the batch.
+        through the model's batch kernels (``generate_batch``, then the
+        prefix-key index or ``batch_probability_matrix``), so the
+        per-candidate Python overhead is amortized over the batch.
         Every draw of an attempt comes from its own words of the stream, so
         each candidate and release decision is the one the paper's
         one-candidate loop would make for that attempt index, whatever the
@@ -232,16 +220,11 @@ class SynthesisMechanism:
     def _counts_from_index(self) -> bool:
         """Whether :meth:`_fast_batch_counts` may count through the index.
 
-        It may unless early-termination knobs request subset scans or the
-        model lacks the match-structure interface (it still returns ``None``
-        when the model's prefix keys would overflow).
+        It may unless early-termination knobs request subset scans (it still
+        returns ``None`` when the model's prefix keys would overflow).
         """
         params = self._params
-        return (
-            params.max_check_plausible is None
-            and params.max_plausible is None
-            and _has_match_structure(self._model)
-        )
+        return params.max_check_plausible is None and params.max_plausible is None
 
     def _fast_batch_counts(
         self,
@@ -266,8 +249,7 @@ class SynthesisMechanism:
         ``candidate_factor_suffix_products``.
 
         Returns ``None`` when the fast path does not apply: early-termination
-        knobs request subset scans, or the model does not expose the
-        match-structure interface.
+        knobs request subset scans, or the model's prefix keys would overflow.
         """
         if not self._counts_from_index():
             return None

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.mechanism import SynthesisMechanism
 from repro.core.stream import attempt_stream
 from repro.experiments.harness import ExperimentContext, ExperimentResult
 from repro.generative.bayesian_network import BayesianNetworkSynthesizer
-from repro.privacy.plausible_deniability import batch_plausible_seed_counts
+from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 
 __all__ = ["run_pass_rate_sweep", "plausible_seed_counts", "pass_rate_for_parameters"]
 
@@ -32,33 +33,24 @@ def plausible_seed_counts(
     num_candidates: int,
     gamma: float,
     rng: np.random.Generator,
-    batch_size: int = 128,
+    batch_size: int = 2048,
 ) -> np.ndarray:
     """Plausible-seed count of ``num_candidates`` freshly generated candidates.
 
     For every candidate the count is the number of seed records whose
     generation probability falls into the same geometric bucket as the true
     seed's — the quantity the privacy test compares against k.  Computing the
-    counts once lets a whole k-sweep reuse the same candidates.  Candidates
-    are generated and evaluated through the model's vectorized batch path,
-    as the first ``num_candidates`` attempts of a stream keyed by a base seed
-    drawn from ``rng``; ``batch_size`` bounds the (candidates x seeds)
-    probability-matrix blocks.
+    counts once lets a whole k-sweep reuse the same candidates.  The counts
+    are Mechanism 1's own: the first ``num_candidates`` attempts of a stream
+    keyed by a base seed drawn from ``rng``, run with k = 1 so that the
+    mechanism reports every attempt's count whatever the sweep's k.
+    ``batch_size`` is the mechanism's speed knob and cannot change a count.
     """
-    counts = np.zeros(num_candidates, dtype=np.int64)
+    mechanism = SynthesisMechanism(model, seeds, PlausibleDeniabilityParams(k=1, gamma=gamma))
     stream = attempt_stream(int(rng.integers(2**63)))
-    produced = 0
-    while produced < num_candidates:
-        size = min(batch_size, num_candidates - produced)
-        words = stream.take(size, len(seeds.schema))
-        seed_indices = words.seed_indices(len(seeds))
-        candidates = model.generate_batch(seeds.data[seed_indices], words)
-        matrix = model.batch_probability_matrix(seeds.data, candidates)
-        counts[produced : produced + size], _, _, _ = batch_plausible_seed_counts(
-            matrix[np.arange(size), seed_indices], matrix, gamma
-        )
-        produced += size
-    return counts
+    return mechanism.run_attempts(num_candidates, stream, batch_size=batch_size)[
+        "plausible_seeds"
+    ]
 
 
 def pass_rate_for_parameters(

@@ -11,9 +11,14 @@ This package implements Section 3 of the paper:
 * :mod:`repro.generative.marginal` — the independent-marginals baseline;
 * :mod:`repro.generative.builder` — an end-to-end fitting helper that trains
   the DP model from the DT / DP splits and tracks the privacy budget.
+
+There is no abstract model interface: Mechanism 1
+(:mod:`repro.core.mechanism`) runs on the Bayesian-network synthesizer and
+calls its batch kernels (``generate_batch``, ``fixed_prefix_keys``,
+``candidate_factor_suffix_products``, ``batch_probability_matrix``) directly.
+The marginal baseline feeds only the utility experiments.
 """
 
-from repro.generative.base import GenerativeModel, SeedBasedGenerativeModel
 from repro.generative.bayesian_network import BayesianNetworkSynthesizer
 from repro.generative.builder import GenerativeModelSpec, fit_bayesian_network, fit_marginal_model
 from repro.generative.marginal import MarginalSynthesizer
@@ -29,8 +34,6 @@ from repro.generative.structure import (
 )
 
 __all__ = [
-    "GenerativeModel",
-    "SeedBasedGenerativeModel",
     "DependencyStructure",
     "StructureLearner",
     "StructureLearningConfig",

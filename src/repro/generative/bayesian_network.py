@@ -35,14 +35,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.datasets.schema import Schema
-from repro.generative.base import SeedBasedGenerativeModel
 from repro.generative.parameters import ConditionalParameters, mixed_radix_strides
 from repro.generative.structure import DependencyStructure
 
 __all__ = ["BayesianNetworkSynthesizer"]
 
 
-class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
+class BayesianNetworkSynthesizer:
     """Seed-based synthesizer backed by a Bayesian network.
 
     The batch kernels (:meth:`generate_batch`, :meth:`fixed_prefix_keys`,
@@ -58,8 +57,6 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
     :meth:`candidate_factor_suffix_products` stays as their oracle and as the
     dense probability matrix's kernel.
     """
-
-    seed_dependent = True
 
     def __init__(
         self,
@@ -209,19 +206,18 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         return bucketized_record[list(parents)]
 
     def _fixed_attributes(self, omega: int) -> tuple[int, ...]:
-        """Attributes copied from the seed when re-sampling ω attributes."""
-        m = len(self._schema)
-        return self._structure.order[: m - omega]
+        """Attributes copied from the seed when re-sampling ω attributes.
+
+        Both σ slices reject ω outside [0, m], where slicing at m − ω would
+        wrap around instead of failing.
+        """
+        self._check_omega(omega)
+        return self._structure.order[: len(self._schema) - omega]
 
     def _resampled_attributes(self, omega: int) -> tuple[int, ...]:
         """Attributes re-sampled (in σ order) when re-sampling ω attributes."""
-        m = len(self._schema)
-        return self._structure.order[m - omega :]
-
-    def _draw_omega(self, rng: np.random.Generator) -> int:
-        if len(self._omegas) == 1:
-            return self._omegas[0]
-        return int(self._omegas[rng.integers(len(self._omegas))])
+        self._check_omega(omega)
+        return self._structure.order[len(self._schema) - omega :]
 
     def draw_omegas(self, words) -> np.ndarray:
         """One ω per attempt of ``words``, uniformly from the configured ω set."""
@@ -233,35 +229,6 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
     # ------------------------------------------------------------------ #
     # Generation
     # ------------------------------------------------------------------ #
-    def generate(self, seed: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Generate one synthetic record from the seed (ω drawn if needed)."""
-        return self.generate_with_omega(seed, self._draw_omega(rng), rng)
-
-    def generate_with_omega(
-        self, seed: np.ndarray, omega: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Generate one synthetic record re-sampling exactly ``omega`` attributes."""
-        record = np.asarray(seed, dtype=np.int64).copy()
-        if record.shape != (len(self._schema),):
-            raise ValueError(
-                f"seed must have {len(self._schema)} attributes, got shape {record.shape}"
-            )
-        self._check_omega(omega)
-        bucketized = self._bucketize_record(record)
-        for attribute in self._resampled_attributes(omega):
-            parent_values = self._parent_values(bucketized, attribute)
-            new_value = self._tables[attribute].sample(rng, parent_values)
-            record[attribute] = new_value
-            bucketized[attribute] = int(
-                self._schema[attribute].bucketize(np.array([new_value]))[0]
-            )
-        return record
-
-    def sample_record(self, rng: np.random.Generator) -> np.ndarray:
-        """Ancestral sampling of a full record (every attribute re-sampled)."""
-        placeholder = np.zeros(len(self._schema), dtype=np.int64)
-        return self.generate_with_omega(placeholder, len(self._schema), rng)
-
     def generate_batch(
         self,
         seeds: np.ndarray,
@@ -274,7 +241,9 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         Walks the re-sampling order σ a single time; at each position the rows
         whose ω covers that attribute draw a new value together through one
         vectorized conditional-table lookup, so the per-record Python overhead
-        of :meth:`generate` is amortized over the whole batch.
+        is amortized over the whole batch.  This is the network's one sampler:
+        ``omegas=np.full(n, m)`` re-samples every attribute, which is
+        ancestral sampling whatever the (in-domain) seed rows hold.
 
         The same walk can also produce the candidates' factors q_ω(y), which
         the privacy test needs next.  A position's parents come earlier in σ,
@@ -436,18 +405,6 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
         if weights is None:
             return None
         return matrix @ weights
-
-    def candidate_factors_batch(self, candidates: np.ndarray, omega: int) -> np.ndarray:
-        """Vectorized q(y) over every row of ``candidates`` for a fixed ω."""
-        matrix = self._schema.check_codes(candidates)
-        self._check_omega(omega)
-        m = len(self._schema)
-        bucketized = self._bucketize(matrix)
-        factors = np.ones(matrix.shape[0], dtype=np.float64)
-        for attribute, parents, table, _ in self._plan[m - omega :]:
-            configs = table._configuration_indices(bucketized[:, parents])
-            factors *= table._probabilities_batch(matrix[:, attribute], configs)
-        return factors
 
     def candidate_factor_suffix_products(self, candidates: np.ndarray) -> np.ndarray:
         """(m+1, candidates) array: row p = product of conditionals at σ-positions >= p.

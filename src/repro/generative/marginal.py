@@ -16,16 +16,13 @@ import numpy as np
 
 from repro.datasets.dataset import Dataset
 from repro.datasets.schema import Schema
-from repro.generative.base import GenerativeModel
 from repro.privacy.accountant import PrivacyAccountant
 
 __all__ = ["MarginalSynthesizer"]
 
 
-class MarginalSynthesizer(GenerativeModel):
+class MarginalSynthesizer:
     """Independent-marginals synthesizer (the paper's utility baseline)."""
-
-    seed_dependent = False
 
     def __init__(self, schema: Schema, marginals: Sequence[np.ndarray]):
         if len(marginals) != len(schema):
@@ -99,7 +96,7 @@ class MarginalSynthesizer(GenerativeModel):
         return cls(dataset.schema, marginals)
 
     # ------------------------------------------------------------------ #
-    # GenerativeModel interface
+    # Generation and probabilities
     # ------------------------------------------------------------------ #
     @property
     def schema(self) -> Schema:
@@ -110,14 +107,6 @@ class MarginalSynthesizer(GenerativeModel):
     def marginals(self) -> list[np.ndarray]:
         """The per-attribute marginal distributions."""
         return [marginal.copy() for marginal in self._marginals]
-
-    def generate(self, seed: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Generate one record by sampling every attribute independently."""
-        del seed  # the baseline ignores its seed by construction
-        return np.array(
-            [int(rng.choice(marginal.size, p=marginal)) for marginal in self._marginals],
-            dtype=np.int64,
-        )
 
     def generate_many(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Vectorized generation of ``count`` records."""

@@ -103,7 +103,7 @@ class ConditionalParameters:
         the validated float64 array.
     counts:
         The (possibly noisy) counts the table was estimated from; kept for
-        inspection and posterior re-sampling.
+        inspection.
     prior:
         Dirichlet prior pseudo-counts per value (the ᾱ vector of Eq. 11).
         The learner uses a prior proportional to the attribute's marginal so
@@ -113,11 +113,13 @@ class ConditionalParameters:
     The batch kernels read arrays derived once from the table: the row CDFs
     (padded with +inf for :meth:`_sample_batch`'s binary search), the
     flattened table and the configuration strides.  They are not part of
-    the pickled state and are rebuilt on unpickling.  Each batch operation is
-    a public method that checks its input and an unchecked kernel of the same
-    name with a leading underscore, which
+    the pickled state and are rebuilt on unpickling.  The kernels carry a
+    leading underscore and check nothing:
     :class:`~repro.generative.bayesian_network.BayesianNetworkSynthesizer`
-    calls directly after validating whole record matrices once.
+    calls them directly after validating whole record matrices once.
+    :meth:`configuration_indices` and :meth:`probabilities_batch` are their
+    checked forms; the sampler :meth:`_sample_batch` has none, because it
+    only runs inside the network's ``generate_batch``.
     """
 
     attribute_index: int
@@ -222,21 +224,6 @@ class ConditionalParameters:
             raise ValueError(f"value {value} out of range [0, {distribution.size})")
         return float(distribution[value])
 
-    def sample(
-        self,
-        rng: np.random.Generator,
-        bucketized_parent_values: np.ndarray | None = None,
-    ) -> int:
-        """Draw a value: one ``rng.random()`` inverted by :meth:`_sample_batch`."""
-        config = self._configuration(bucketized_parent_values)
-        return int(self._sample_batch(np.array([rng.random()]), np.array([config]))[0])
-
-    def _check_configurations(self, configs: np.ndarray) -> None:
-        if configs.size and (configs.min() < 0 or configs.max() >= self.num_configurations):
-            raise ValueError(
-                f"configuration indices out of range [0, {self.num_configurations})"
-            )
-
     def probabilities_batch(
         self, values: np.ndarray, configuration_indices: np.ndarray
     ) -> np.ndarray:
@@ -247,29 +234,18 @@ class ConditionalParameters:
             raise ValueError("values and configuration_indices must be matching 1-D arrays")
         if vals.size and (vals.min() < 0 or vals.max() >= self.cardinality):
             raise ValueError(f"values out of range [0, {self.cardinality})")
-        self._check_configurations(configs)
+        if configs.size and (configs.min() < 0 or configs.max() >= self.num_configurations):
+            raise ValueError(
+                f"configuration indices out of range [0, {self.num_configurations})"
+            )
         return self._probabilities_batch(vals, configs)
 
     def _probabilities_batch(self, values: np.ndarray, configs: np.ndarray) -> np.ndarray:
         """Unchecked kernel of :meth:`probabilities_batch`: ``table[configs, values]``."""
         return self._flat[configs * self.cardinality + values]
 
-    def sample_batch(
-        self, rng: np.random.Generator, configuration_indices: np.ndarray
-    ) -> np.ndarray:
-        """Draw one value per configuration row via vectorized inverse-CDF sampling.
-
-        Consumes exactly one uniform draw per row, so a batch of size n advances
-        the generator as far as n scalar draws would.
-        """
-        configs = np.asarray(configuration_indices, dtype=np.int64)
-        if configs.ndim != 1:
-            raise ValueError("configuration_indices must be a 1-D array")
-        self._check_configurations(configs)
-        return self._sample_batch(rng.random(configs.size), configs)
-
     def _sample_batch(self, uniforms: np.ndarray, configs: np.ndarray) -> np.ndarray:
-        """Unchecked kernel of :meth:`sample_batch`: invert each row's CDF at its uniform.
+        """Invert each row's CDF at its uniform: the one inverse-CDF sampler.
 
         The mechanism passes each attempt's word for this attribute's σ
         position (:meth:`repro.core.stream.AttemptWords.position`), so a row's
@@ -328,28 +304,6 @@ class ConditionalParameters:
             # Row starts are multiples of the power-of-two width.
             values = index & (width - 1)
         return np.minimum(values, cardinality - 1)
-
-    def resample_table(self, rng: np.random.Generator) -> "ConditionalParameters":
-        """A copy whose table is drawn from the Dirichlet posterior (Eq. 12).
-
-        The paper samples the multinomial parameters from the posterior rather
-        than using the point estimate "to increase the variety of data samples".
-        The whole table is drawn with one batched gamma call
-        (:func:`sample_dirichlet_rows`); the RNG stream therefore differs from
-        the earlier per-row ``rng.dirichlet`` loop for the same seed.
-        """
-        posterior = self.counts + np.asarray(self.prior)[None, :]
-        # Posterior resampling, not a DP release: the spend happens when the
-        # noisy counts are formed.  # repro: allow[privacy-unrecorded-noise]
-        table = sample_dirichlet_rows(rng, posterior)
-        return ConditionalParameters(
-            attribute_index=self.attribute_index,
-            parents=self.parents,
-            parent_cardinalities=self.parent_cardinalities,
-            table=table,
-            counts=self.counts,
-            prior=self.prior,
-        )
 
 
 class ParameterLearner:

@@ -24,7 +24,6 @@ from repro.privacy.release import (
 from repro.privacy.plausible_deniability import (
     DeterministicPrivacyTest,
     PlausibleDeniabilityParams,
-    PrivacyTestResult,
     RandomizedPrivacyTest,
     batch_plausible_seed_counts,
     make_privacy_test,
@@ -47,7 +46,6 @@ __all__ = [
     "PrivacyAccountant",
     "BudgetEntry",
     "PlausibleDeniabilityParams",
-    "PrivacyTestResult",
     "DeterministicPrivacyTest",
     "RandomizedPrivacyTest",
     "make_privacy_test",

@@ -31,11 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.privacy.laplace import laplace_noise
-
 __all__ = [
     "PlausibleDeniabilityParams",
-    "PrivacyTestResult",
     "DeterministicPrivacyTest",
     "RandomizedPrivacyTest",
     "make_privacy_test",
@@ -104,25 +101,6 @@ class PlausibleDeniabilityParams:
     def is_randomized(self) -> bool:
         """Whether the randomized (differentially private) test is selected."""
         return self.epsilon0 is not None
-
-
-@dataclass(frozen=True)
-class PrivacyTestResult:
-    """Outcome of the scalar privacy test on one candidate (batches yield columns).
-
-    ``count_saturated`` marks counts capped at ``max_plausible`` (the true
-    bucket population is at least ``plausible_seeds``).
-    """
-
-    passed: bool
-    plausible_seeds: int
-    partition_index: int
-    threshold: float
-    records_checked: int
-    count_saturated: bool = False
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 # --------------------------------------------------------------------------- #
@@ -373,30 +351,6 @@ class DeterministicPrivacyTest:
         """The privacy parameters this test enforces."""
         return self._params
 
-    def __call__(
-        self,
-        seed_probability: float,
-        dataset_probabilities: np.ndarray,
-        rng: np.random.Generator | None = None,
-    ) -> PrivacyTestResult:
-        params = self._params
-        count, partition, checked, saturated = plausible_seed_count(
-            seed_probability,
-            dataset_probabilities,
-            params.gamma,
-            params.max_check_plausible,
-            params.max_plausible,
-            rng,
-        )
-        return PrivacyTestResult(
-            passed=count >= params.k,
-            plausible_seeds=count,
-            partition_index=partition,
-            threshold=float(params.k),
-            records_checked=checked,
-            count_saturated=saturated,
-        )
-
     def run_batch(
         self,
         seed_probabilities: np.ndarray,
@@ -450,36 +404,6 @@ class RandomizedPrivacyTest:
     def params(self) -> PlausibleDeniabilityParams:
         """The privacy parameters this test enforces."""
         return self._params
-
-    def __call__(
-        self,
-        seed_probability: float,
-        dataset_probabilities: np.ndarray,
-        rng: np.random.Generator | None = None,
-    ) -> PrivacyTestResult:
-        params = self._params
-        if rng is None:
-            raise ValueError("the randomized privacy test requires an rng")
-        generator = rng
-        # Release-time cost of this draw is accounted per Theorem 1 at the
-        # session layer.  # repro: allow[privacy-unrecorded-noise]
-        noisy_threshold = params.k + laplace_noise(1.0 / params.epsilon0, generator)
-        count, partition, checked, saturated = plausible_seed_count(
-            seed_probability,
-            dataset_probabilities,
-            params.gamma,
-            params.max_check_plausible,
-            params.max_plausible,
-            generator,
-        )
-        return PrivacyTestResult(
-            passed=count >= noisy_threshold,
-            plausible_seeds=count,
-            partition_index=partition,
-            threshold=float(noisy_threshold),
-            records_checked=checked,
-            count_saturated=saturated,
-        )
 
     def run_batch(
         self,

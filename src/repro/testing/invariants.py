@@ -39,7 +39,7 @@ from repro.core.mechanism import SynthesisMechanism
 from repro.core.results import SynthesisReport
 from repro.core.stream import AttemptStream, AttemptWords, attempt_stream
 from repro.datasets.dataset import Dataset
-from repro.generative.base import GenerativeModel
+from repro.generative.bayesian_network import BayesianNetworkSynthesizer
 from repro.generative.structure import (
     DependencyStructure,
     StructureLearner,
@@ -119,7 +119,7 @@ def _engine_run(
 
 
 def check_engine_parity(
-    model: GenerativeModel,
+    model: BayesianNetworkSynthesizer,
     seed_dataset: Dataset,
     params: PlausibleDeniabilityParams,
     *,
@@ -256,7 +256,9 @@ def reference_attempt(
     )
 
 
-def reference_candidate(model, seed: np.ndarray, words: AttemptWords) -> np.ndarray:
+def reference_candidate(
+    model: BayesianNetworkSynthesizer, seed: np.ndarray, words: AttemptWords
+) -> np.ndarray:
     """Step 2 for one attempt, record by record: ω, then σ's re-sampled positions.
 
     Reads the attempt's ω choice and one uniform per re-sampled σ position

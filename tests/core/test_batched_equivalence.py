@@ -4,8 +4,9 @@ Batching must be a pure performance optimization: probability computations
 agree exactly with the per-record oracle
 (:func:`repro.testing.invariants.reference_attempt`), release decisions for a
 given candidate are identical under the deterministic test, and the sampled
-candidates follow the same distribution.  Decision-level comparisons go
-through the shared conformance checker
+candidates equal the record-by-record oracle's
+(:func:`repro.testing.invariants.reference_candidate`) on the same attempt
+words.  Decision-level comparisons go through the shared conformance checker
 (:func:`repro.testing.invariants.check_batched_mechanism_parity`).
 """
 
@@ -22,9 +23,11 @@ from repro.privacy.plausible_deniability import (
     batch_plausible_seed_counts,
     plausible_seed_count,
 )
+from repro.generative.bayesian_network import BayesianNetworkSynthesizer
 from repro.testing.invariants import (
     assert_reports_identical,
     check_batched_mechanism_parity,
+    reference_candidate,
     reference_propose,
 )
 from repro.testing.scenarios import get_scenario
@@ -51,8 +54,6 @@ def det_mechanism(unnoised_model, acs_splits):
 @pytest.fixture(scope="module")
 def omega_set_model(unnoised_model):
     """The fitted network re-wrapped with an ω *set* ("ω ∈R [5-11]")."""
-    from repro.generative.bayesian_network import BayesianNetworkSynthesizer
-
     return BayesianNetworkSynthesizer(
         unnoised_model.schema,
         unnoised_model.structure,
@@ -62,16 +63,17 @@ def omega_set_model(unnoised_model):
 
 
 class TestModelBatchEquivalence:
-    def test_candidate_factors_batch_matches_scalar(self, unnoised_model, acs_splits):
+    def test_candidate_factor_suffix_products_match_scalar(self, unnoised_model, acs_splits):
         candidates = unnoised_model.generate_batch(
             acs_splits.seeds.data[:40], _words(unnoised_model, 40)
         )
+        m = len(unnoised_model.schema)
+        suffix_products = unnoised_model.candidate_factor_suffix_products(candidates)
         for omega in (0, 5, 9, 11):
-            batched = unnoised_model.candidate_factors_batch(candidates, omega)
             scalar = np.array(
                 [unnoised_model.candidate_factor(candidate, omega) for candidate in candidates]
             )
-            np.testing.assert_allclose(batched, scalar, rtol=1e-12)
+            np.testing.assert_allclose(suffix_products[m - omega], scalar, rtol=1e-12)
 
     def test_probability_matrix_matches_stacked_rows(self, unnoised_model, acs_splits):
         seeds = acs_splits.seeds.data
@@ -110,26 +112,20 @@ class TestModelBatchEquivalence:
         matrix = unnoised_model.batch_probability_matrix(seeds, out)
         assert np.all(matrix[np.arange(60), np.arange(60)] > 0.0)
 
-    def test_generate_batch_matches_single_path_distribution(
-        self, unnoised_model, acs_splits
-    ):
-        # Full re-sampling (omega = m) makes generation seed-independent, so
-        # per-attribute frequencies from the two paths must agree within
-        # sampling noise.
+    def test_full_resample_matches_the_reference_candidate(self, unnoised_model, acs_splits):
+        # Full re-sampling (omega = m) through the batch kernel equals the
+        # record-by-record oracle on every attempt's own words; 300 rows run
+        # the kernel's binary search, the oracle one row at a time.
         m = len(unnoised_model.schema)
-        seeds = np.tile(acs_splits.seeds.data[0], (1500, 1))
-        batched = unnoised_model.generate_batch(
-            seeds, _words(unnoised_model, 1500, seed=7), omegas=np.full(1500, m)
+        full_resample = BayesianNetworkSynthesizer(
+            unnoised_model.schema, unnoised_model.structure, unnoised_model.tables, omega=m
         )
-        rng_single = np.random.default_rng(8)
-        single = np.vstack(
-            [unnoised_model.generate_with_omega(seeds[0], m, rng_single) for _ in range(1500)]
-        )
-        for attribute in range(m):
-            cardinality = unnoised_model.schema[attribute].cardinality
-            freq_batched = np.bincount(batched[:, attribute], minlength=cardinality) / 1500
-            freq_single = np.bincount(single[:, attribute], minlength=cardinality) / 1500
-            assert np.abs(freq_batched - freq_single).max() < 0.06
+        seeds = acs_splits.seeds.data[:300]
+        batched = full_resample.generate_batch(seeds, _words(full_resample, 300, seed=7))
+        stream = attempt_stream(7)
+        for row, seed in enumerate(seeds):
+            words = stream.take(1, m)
+            assert np.array_equal(batched[row], reference_candidate(full_resample, seed, words))
 
     def test_generate_batch_validates_inputs(self, unnoised_model, acs_splits):
         with pytest.raises(ValueError):

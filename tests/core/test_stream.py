@@ -1,11 +1,16 @@
 """The counter-addressed attempt stream: attempt i's words depend on (base seed, i) only."""
 
+import inspect
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.core.mechanism import SynthesisMechanism
 from repro.core.stream import STREAM_VERSION, attempt_stream, stream_width
+from repro.generative.bayesian_network import BayesianNetworkSynthesizer
+from repro.generative.parameters import ConditionalParameters
+from repro.privacy.plausible_deniability import DeterministicPrivacyTest, RandomizedPrivacyTest
 
 
 def _raw_words(base_seed: int, count: int) -> np.ndarray:
@@ -107,3 +112,25 @@ class TestDraws:
         # The scan key is not the attempt key: scan draws never alias words.
         stream = attempt_stream(4)
         assert not np.array_equal(stream.key, stream.scan_key)
+
+
+class TestSingleRandomnessPath:
+    def test_no_mechanism_method_takes_an_rng(self):
+        # Every draw of Mechanism 1 (seed, ω, re-sampled values, threshold
+        # noise, scan subset) is read from an attempt's words, so no method
+        # on its path may accept a generator of its own.
+        classes = (
+            BayesianNetworkSynthesizer,
+            ConditionalParameters,
+            DeterministicPrivacyTest,
+            RandomizedPrivacyTest,
+            SynthesisMechanism,
+        )
+        offenders = [
+            f"{cls.__name__}.{name}"
+            for cls in classes
+            for name, member in inspect.getmembers(cls)
+            if (inspect.isfunction(member) or inspect.ismethod(member))
+            and "rng" in inspect.signature(member).parameters
+        ]
+        assert offenders == []

@@ -5,8 +5,10 @@ and basic sanity (not the paper's quantitative trends, which the benchmarks
 regenerate at a larger scale).
 """
 
+import numpy as np
 import pytest
 
+from repro.core.stream import attempt_stream
 from repro.experiments import (
     ExperimentContext,
     run_classifier_comparison,
@@ -21,6 +23,8 @@ from repro.experiments import (
     run_single_attribute_distance,
 )
 from repro.experiments.dataset_summary import run_attribute_table
+from repro.experiments.pass_rate import plausible_seed_counts
+from repro.privacy.plausible_deniability import partition_numbers
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +125,23 @@ class TestPerformanceAndPassRate:
         low_k_rate = result.rows[0][1]
         assert low_k_rate >= high_k_rate
         assert 0.0 <= high_k_rate <= 1.0
+
+    @pytest.mark.parametrize(
+        "omega", [7, 9, (5, 6, 7, 8, 9, 10, 11)], ids=["omega=7", "omega=9", "omega=5-11"]
+    )
+    def test_figure6_counts_equal_a_dense_matrix_count(self, context, omega):
+        # The sweep reads Mechanism 1's own counts; recount the same attempts
+        # over the dense (candidates x seeds) probability matrix.
+        model = context.model_for_omega(omega)
+        seeds = context.splits.seeds
+        counts = plausible_seed_counts(
+            model, seeds, 300, 2.0, np.random.default_rng(3), batch_size=64
+        )
+        base_seed = int(np.random.default_rng(3).integers(2**63))
+        words = attempt_stream(base_seed).take(300, len(seeds.schema))
+        seed_indices = words.seed_indices(len(seeds))
+        candidates = model.generate_batch(seeds.data[seed_indices], words)
+        matrix = model.batch_probability_matrix(seeds.data, candidates)
+        partitions = partition_numbers(matrix, 2.0)
+        own = partitions[np.arange(300), seed_indices]
+        assert counts.tolist() == np.sum(partitions == own[:, None], axis=1).tolist()

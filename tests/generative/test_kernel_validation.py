@@ -77,9 +77,10 @@ class TestRecordMatrixKernels:
         with pytest.raises(ValueError, match="domain"):
             unnoised_model.candidate_factor_suffix_products(bad_rows)
 
-    def test_candidate_factors_batch_rejects_out_of_domain(self, unnoised_model, bad_rows):
+    def test_candidate_factor_rejects_out_of_domain(self, unnoised_model, bad_rows):
+        # The scalar oracle bucketizes the candidate with the same gather.
         with pytest.raises(ValueError, match="domain"):
-            unnoised_model.candidate_factors_batch(bad_rows, OMEGA)
+            unnoised_model.candidate_factor(bad_rows[5], OMEGA)
 
     def test_fixed_prefix_keys_rejects_out_of_domain(self, unnoised_model, bad_rows):
         # At ω = 9 both SCHL and the root are fixed attributes: an unchecked
@@ -109,12 +110,6 @@ class TestRecordMatrixKernels:
 
 
 class TestTableKernels:
-    def test_sample_batch_rejects_out_of_range_configurations(self, unnoised_model, column):
-        table = unnoised_model.tables[column]
-        for bad in (-1, table.num_configurations):
-            with pytest.raises(ValueError, match="configuration indices"):
-                table.sample_batch(np.random.default_rng(0), np.array([0, bad]))
-
     def test_probabilities_batch_rejects_out_of_range_configurations(
         self, unnoised_model, column
     ):
@@ -148,8 +143,6 @@ class TestShapes:
             with pytest.raises(ValueError, match="2-D"):
                 unnoised_model.candidate_factor_suffix_products(rows)
             with pytest.raises(ValueError, match="2-D"):
-                unnoised_model.candidate_factors_batch(rows, OMEGA)
-            with pytest.raises(ValueError, match="2-D"):
                 unnoised_model.fixed_prefix_keys(rows, OMEGA)
             with pytest.raises(ValueError, match="2-D"):
                 unnoised_model.batch_probability_matrix(good_rows, rows)
@@ -182,13 +175,9 @@ class TestShapes:
         for bad in (-1, m + 1):
             with pytest.raises(ValueError, match="omega"):
                 unnoised_model.fixed_prefix_keys(good_rows, bad)
-            with pytest.raises(ValueError, match="omega"):
-                unnoised_model.candidate_factors_batch(good_rows, bad)
 
     def test_table_kernels_reject_wrong_shapes(self, unnoised_model, columns):
         table = unnoised_model.tables[columns["SCHL"]]
-        with pytest.raises(ValueError, match="1-D"):
-            table.sample_batch(np.random.default_rng(0), np.zeros((2, 1), dtype=np.int64))
         with pytest.raises(ValueError, match="matching 1-D"):
             table.probabilities_batch(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="parent matrix"):
@@ -203,4 +192,5 @@ class TestShapes:
         corner = np.array([[a.cardinality - 1 for a in schema], [0] * len(schema)])
         unnoised_model.generate_batch(corner, _words(unnoised_model, 2))
         unnoised_model.candidate_factor_suffix_products(corner)
+        unnoised_model.candidate_factor(corner[0], OMEGA)
         assert unnoised_model.fixed_prefix_keys(corner, OMEGA).shape == (2,)

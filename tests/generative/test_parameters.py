@@ -116,20 +116,18 @@ class TestConditionalParameters:
         with pytest.raises(ValueError):
             label_table.probability(9, np.array([1, 0]))
 
-    def test_sample_stays_in_domain(self, learned_tables, rng):
+    def test_sample_batch_stays_in_domain(self, learned_tables, rng):
         label_table = learned_tables[3]
-        samples = [label_table.sample(rng, np.array([1, 2])) for _ in range(100)]
-        assert set(samples) <= {0, 1}
+        configs = np.full(100, label_table.configuration_index(np.array([1, 2])))
+        samples = label_table._sample_batch(rng.random(100), configs)
+        assert set(samples.tolist()) <= {0, 1}
 
-    def test_sample_batch_matches_sample_distribution(self, learned_tables, rng):
+    def test_sample_batch_follows_the_table_row(self, learned_tables, rng):
         label_table = learned_tables[3]
-        configs = np.full(4000, label_table.configuration_index(np.array([1, 2])))
-        batch = label_table.sample_batch(rng, configs)
-        scalar = np.array(
-            [label_table.sample(rng, np.array([1, 2])) for _ in range(4000)]
-        )
-        assert set(batch.tolist()) <= {0, 1}
-        assert abs(batch.mean() - scalar.mean()) < 0.05
+        config = label_table.configuration_index(np.array([1, 2]))
+        samples = label_table._sample_batch(rng.random(4000), np.full(4000, config))
+        assert set(samples.tolist()) <= {0, 1}
+        assert abs(samples.mean() - label_table.table[config, 1]) < 0.05
 
     @pytest.mark.parametrize("batch", [SEARCH_MIN_ROWS - 1, 20000])
     def test_sample_batch_never_emits_zero_probability_values(self, rng, batch):
@@ -147,7 +145,7 @@ class TestConditionalParameters:
         )
         samples = np.concatenate(
             [
-                table.sample_batch(rng, np.zeros(batch, dtype=np.int64))
+                table._sample_batch(rng.random(batch), np.zeros(batch, dtype=np.int64))
                 for _ in range(-(-20000 // batch))
             ]
         )
@@ -164,12 +162,7 @@ class TestConditionalParameters:
             table=np.array([[0.0, 0.0, 0.4, 0.6]]),
             counts=np.zeros((1, 4)),
         )
-
-        class ZeroRng:
-            def random(self, size):
-                return np.zeros(size)
-
-        samples = table.sample_batch(ZeroRng(), np.zeros(batch, dtype=np.int64))
+        samples = table._sample_batch(np.zeros(batch), np.zeros(batch, dtype=np.int64))
         assert samples.tolist() == [2] * batch
 
     @pytest.mark.parametrize("batch", [SEARCH_MIN_ROWS - 1, 2 * SEARCH_MIN_ROWS])
@@ -218,28 +211,18 @@ class TestConditionalParameters:
         with pytest.raises(ValueError):
             label_table.probabilities_batch(np.array([9]), np.array([0]))
         with pytest.raises(ValueError):
-            label_table.sample_batch(np.random.default_rng(0), np.array([99]))
+            label_table.probabilities_batch(np.array([0]), np.array([99]))
 
-    def test_resample_table_produces_valid_distributions(self, learned_tables, rng):
-        resampled = learned_tables[3].resample_table(rng)
-        assert np.allclose(resampled.table.sum(axis=1), 1.0)
-        assert resampled.table.shape == learned_tables[3].table.shape
-
-    def test_resample_table_is_deterministic_given_rng(self, learned_tables):
-        first = learned_tables[3].resample_table(np.random.default_rng(9))
-        second = learned_tables[3].resample_table(np.random.default_rng(9))
-        assert np.array_equal(first.table, second.table)
-
-    def test_resample_table_concentrates_around_posterior_mean(self, learned_tables):
-        # With many posterior draws the sample mean approaches the posterior
-        # mean, confirming the batched gamma sampler draws from the right
-        # Dirichlet (distribution-level check; the RNG stream intentionally
-        # differs from the old per-row ``rng.dirichlet`` loop).
+    def test_posterior_draws_concentrate_around_posterior_mean(self, learned_tables):
+        # With many posterior draws (Eq. 12) the sample mean approaches the
+        # posterior mean, confirming the batched gamma sampler draws from the
+        # right Dirichlet (distribution-level check; the RNG stream
+        # intentionally differs from a per-row ``rng.dirichlet`` loop).
         base = learned_tables[3]
         posterior = base.counts + np.asarray(base.prior)[None, :]
         expected = posterior / posterior.sum(axis=1, keepdims=True)
         rng = np.random.default_rng(17)
-        mean = np.mean([base.resample_table(rng).table for _ in range(400)], axis=0)
+        mean = np.mean([sample_dirichlet_rows(rng, posterior) for _ in range(400)], axis=0)
         assert np.allclose(mean, expected, atol=0.05)
 
     def test_table_shape_validation(self):
@@ -262,7 +245,9 @@ class TestConditionalParameters:
         )
         assert isinstance(table.table, np.ndarray) and table.table.dtype == np.float64
         assert table.cardinality == 2
-        samples = table.sample_batch(np.random.default_rng(0), np.zeros(50, dtype=np.int64))
+        samples = table._sample_batch(
+            np.random.default_rng(0).random(50), np.zeros(50, dtype=np.int64)
+        )
         assert set(samples.tolist()) <= {0, 1}
 
     def test_float32_table_is_stored_as_float64(self):
@@ -301,10 +286,10 @@ class TestConditionalParameters:
                 counts=np.zeros((1, 3)),
             )
 
-    def test_scalar_sample_accepts_every_table_the_constructor_accepts(self):
-        # The row sums to 1 + 5e-7: inside the constructor's 1e-6 tolerance
-        # but outside rng.choice's ~1.5e-8, which the scalar path used to
-        # call.  It draws one double, like one row of sample_batch.
+    def test_sampler_accepts_every_table_the_constructor_accepts(self):
+        # The row sums to 1 + 5e-7, inside the constructor's 1e-6 tolerance:
+        # the sampler scales each uniform onto the row's own total, so both
+        # values are drawn and nothing is rejected.
         table = ConditionalParameters(
             attribute_index=0,
             parents=(),
@@ -312,11 +297,11 @@ class TestConditionalParameters:
             table=[[0.5, 0.5 + 5e-7]],
             counts=np.zeros((1, 2)),
         )
-        scalar_rng, batch_rng = np.random.default_rng(7), np.random.default_rng(7)
-        scalar = [table.sample(scalar_rng) for _ in range(200)]
-        batch = table.sample_batch(batch_rng, np.zeros(200, dtype=np.int64))
-        assert scalar == batch.tolist()
-        assert set(scalar) == {0, 1}
+        uniforms = np.random.default_rng(7).random(200)
+        samples = table._sample_batch(uniforms, np.zeros(200, dtype=np.int64))
+        expected = (uniforms * table._cdf[0, 1] >= table._cdf[0, 0]).astype(np.int64)
+        assert samples.tolist() == expected.tolist()
+        assert set(samples.tolist()) == {0, 1}
 
 
 class TestParameterLearner:
@@ -388,6 +373,16 @@ class TestParameterLearner:
         for table in tables:
             assert np.allclose(table.table.sum(axis=1), 1.0)
 
+    def test_sampled_parameters_are_deterministic_given_rng(self, toy_dataset, toy_structure):
+        first, second = (
+            ParameterLearner(sample_parameters=True).learn(
+                toy_dataset, toy_structure, np.random.default_rng(9)
+            )
+            for _ in range(2)
+        )
+        for one, other in zip(first, second):
+            assert np.array_equal(one.table, other.table)
+
     def test_empty_dataset_rejected(self, toy_schema, toy_structure):
         from repro.datasets.dataset import Dataset
 
@@ -451,7 +446,7 @@ class TestSampleDirichletRows:
             base.counts + np.asarray(base.prior)[None, :], 1e-9
         )
         consumed = np.random.default_rng(21)
-        base.resample_table(consumed)
+        sample_dirichlet_rows(consumed, base.counts + np.asarray(base.prior)[None, :])
         expected = np.random.default_rng(21)
         expected.standard_gamma(posterior)
         assert consumed.bit_generator.state == expected.bit_generator.state

@@ -171,24 +171,26 @@ class TestPlausibleSeedCount:
             satisfies_plausible_deniability(0.4, np.array([0.4]), k=0, gamma=2.0)
 
 
+def _attempts(count: int, base_seed: int = 0):
+    """The words of ``count`` attempts of a 4-attribute layout."""
+    return attempt_stream(base_seed).take(count, 4)
+
+
 class TestDeterministicTest:
-    def test_pass_and_fail(self, rng):
+    def test_pass_and_fail(self):
         params = PlausibleDeniabilityParams(k=3, gamma=2.0)
         test = DeterministicPrivacyTest(params)
-        passing = test(0.4, np.array([0.4, 0.3, 0.45, 0.01]), rng)
-        assert passing.passed and passing.plausible_seeds == 3
-        failing = test(0.4, np.array([0.4, 0.01, 0.001]), rng)
-        assert not failing.passed
+        matrix = np.array([[0.4, 0.3, 0.45, 0.01], [0.4, 0.01, 0.001, 0.0]])
+        results = test.run_batch(np.array([0.4, 0.4]), matrix)
+        assert results["passed"].tolist() == [True, False]
+        assert results["plausible_seeds"].tolist() == [3, 1]
 
-    def test_result_is_truthy_when_passed(self, rng):
-        params = PlausibleDeniabilityParams(k=1, gamma=2.0)
-        result = DeterministicPrivacyTest(params)(0.5, np.array([0.5]), rng)
-        assert bool(result)
-
-    def test_threshold_reported(self, rng):
+    def test_threshold_reported(self):
         params = PlausibleDeniabilityParams(k=7, gamma=2.0)
-        result = DeterministicPrivacyTest(params)(0.5, np.array([0.5] * 10), rng)
-        assert result.threshold == 7.0
+        results = DeterministicPrivacyTest(params).run_batch(
+            np.array([0.5]), np.full((1, 10), 0.5), _attempts(1)
+        )
+        assert results["thresholds"].tolist() == [7.0]
 
     def test_results_from_counts_draws_no_randomness(self):
         # The mechanism hands its stream to either test; the deterministic
@@ -208,32 +210,35 @@ class TestRandomizedTest:
         with pytest.raises(ValueError):
             RandomizedPrivacyTest(PlausibleDeniabilityParams(k=5, gamma=2.0))
 
-    def test_clear_margin_always_passes(self, rng):
-        params = PlausibleDeniabilityParams(k=5, gamma=2.0, epsilon0=1.0)
-        test = RandomizedPrivacyTest(params)
-        dataset = np.full(200, 0.4)
-        results = [test(0.4, dataset, rng).passed for _ in range(50)]
-        assert all(results)
+    @staticmethod
+    def _run(k: int, num_records: int, num_attempts: int) -> dict[str, np.ndarray]:
+        """``num_attempts`` candidates whose ``num_records`` seeds are all plausible."""
+        test = RandomizedPrivacyTest(PlausibleDeniabilityParams(k=k, gamma=2.0, epsilon0=1.0))
+        return test.run_batch(
+            np.full(num_attempts, 0.4),
+            np.full((num_attempts, num_records), 0.4),
+            _attempts(num_attempts),
+        )
 
-    def test_clear_shortfall_always_fails(self, rng):
-        params = PlausibleDeniabilityParams(k=100, gamma=2.0, epsilon0=1.0)
-        test = RandomizedPrivacyTest(params)
-        dataset = np.array([0.4, 0.4])
-        results = [test(0.4, dataset, rng).passed for _ in range(50)]
-        assert not any(results)
+    def test_clear_margin_always_passes(self):
+        assert self._run(k=5, num_records=200, num_attempts=50)["passed"].all()
 
-    def test_borderline_counts_pass_randomly(self, rng):
-        params = PlausibleDeniabilityParams(k=10, gamma=2.0, epsilon0=1.0)
-        test = RandomizedPrivacyTest(params)
-        dataset = np.full(10, 0.4)  # exactly k plausible seeds
-        outcomes = {test(0.4, dataset, rng).passed for _ in range(200)}
+    def test_clear_shortfall_always_fails(self):
+        assert not self._run(k=100, num_records=2, num_attempts=50)["passed"].any()
+
+    def test_borderline_counts_pass_randomly(self):
+        # Exactly k plausible seeds: each attempt's own noise decides.
+        outcomes = set(self._run(k=10, num_records=10, num_attempts=200)["passed"].tolist())
         assert outcomes == {True, False}
 
-    def test_noisy_threshold_varies(self, rng):
-        params = PlausibleDeniabilityParams(k=10, gamma=2.0, epsilon0=1.0)
-        test = RandomizedPrivacyTest(params)
-        thresholds = {test(0.4, np.full(20, 0.4), rng).threshold for _ in range(20)}
-        assert len(thresholds) > 1
+    def test_noisy_threshold_varies(self):
+        thresholds = self._run(k=10, num_records=20, num_attempts=20)["thresholds"]
+        assert len(set(thresholds.tolist())) > 1
+
+    def test_run_batch_requires_the_attempts_words(self):
+        test = RandomizedPrivacyTest(PlausibleDeniabilityParams(k=5, gamma=2.0, epsilon0=1.0))
+        with pytest.raises(ValueError, match="words"):
+            test.run_batch(np.array([0.4]), np.full((1, 5), 0.4))
 
     def test_results_from_counts_reads_each_attempts_own_noise(self):
         # Each candidate's threshold is k plus the Laplace(1/ε0) noise in its

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.stream import attempt_stream
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
     RandomizedPrivacyTest,
@@ -99,32 +100,35 @@ class _IndicatorModel:
     0.3, so Pr{y = M(d)} is 0.7 when y == d and 0.1 otherwise.
     """
 
-    def probability(self, seed: int, candidate: int) -> float:
-        return 0.7 if seed == candidate else 0.1
+    def probability(self, seeds: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """Pr{candidate = M(seed)}, broadcast over both arrays."""
+        return np.where(candidates == seeds, 0.7, 0.1)
 
-    def generate(self, seed: int, rng: np.random.Generator) -> int:
-        if rng.random() < 0.7:
-            return seed
-        others = [value for value in range(4) if value != seed]
-        return int(rng.choice(others))
+    def generate(self, seeds: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """One output per seed, inverting the model's law at each uniform."""
+        other = np.minimum(((uniforms - 0.7) / 0.1).astype(np.int64), 2)
+        return np.where(uniforms < 0.7, seeds, other + (other >= seeds))
 
 
 def _release_probability(dataset, candidate, params, num_trials, seed):
-    """Monte-Carlo estimate of Pr{F(D) = candidate} for the indicator model."""
+    """Monte-Carlo estimate of Pr{F(D) = candidate} for the indicator model.
+
+    Trial i is attempt i of the stream keyed by ``seed``, with one attribute:
+    its seed index, its generation uniform and its threshold noise are that
+    attempt's own words, and the randomized test reads the noise through
+    ``run_batch``.
+    """
     model = _IndicatorModel()
-    test = RandomizedPrivacyTest(params)
-    rng = np.random.default_rng(seed)
-    releases = 0
     dataset = np.asarray(dataset)
-    for _ in range(num_trials):
-        seed_record = int(dataset[rng.integers(len(dataset))])
-        generated = model.generate(seed_record, rng)
-        if generated != candidate:
-            continue
-        probabilities = np.array([model.probability(int(d), candidate) for d in dataset])
-        if test(model.probability(seed_record, candidate), probabilities, rng).passed:
-            releases += 1
-    return releases / num_trials
+    words = attempt_stream(seed).take(num_trials, 1)
+    seeds = dataset[words.seed_indices(len(dataset))]
+    generated = model.generate(seeds, words.position(0))
+    passed = RandomizedPrivacyTest(params).run_batch(
+        model.probability(seeds, generated),
+        model.probability(dataset[None, :], generated[:, None]),
+        words,
+    )["passed"]
+    return float(np.mean(passed & (generated == candidate)))
 
 
 class TestEmpiricalDifferentialPrivacy:

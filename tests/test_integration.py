@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro.core import GenerationConfig, SynthesisPipeline
+from repro.core.stream import attempt_stream
 from repro.datasets import load_acs
 from repro.generative import GenerativeModelSpec
 from repro.privacy import PlausibleDeniabilityParams
@@ -94,8 +95,14 @@ class TestUtilityTrends:
             rng=np.random.default_rng(1),
         )
         marginal = fit_marginal_model(splits.parameters, epsilon=None)
+        # Ancestral sampling: every attribute re-sampled, whatever the seed rows.
+        m = len(data.schema)
+        synthetic = model.generate_batch(
+            np.zeros((2500, m), dtype=np.int64),
+            attempt_stream(2).take(2500, m),
+            omegas=np.full(2500, m),
+        )
         rng = np.random.default_rng(2)
-        synthetic = np.vstack([model.sample_record(rng) for _ in range(2500)])
         marginals_data = marginal.generate_many(2500, rng)
         reference = splits.seeds.sample(2500, rng).data
         return data.schema, reference, synthetic, marginals_data

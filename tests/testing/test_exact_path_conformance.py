@@ -4,7 +4,7 @@ Mechanism 1 has one privacy test — the exact (k, γ) plausible-seed count —
 computed one of three ways: the sorted prefix-key index
 (``SynthesisMechanism._fast_batch_counts``, the production path), the dense
 probability-matrix scan (``batch_plausible_seed_counts``, used when the
-model lacks the match-structure interface), and the paper's subset scans
+model's prefix keys would overflow int64), and the paper's subset scans
 under ``max_check_plausible`` / ``max_plausible``.  This suite runs the full
 registry through the index and through the dense scan and compares
 everything release-relevant — decisions, thresholds, counts, partitions,

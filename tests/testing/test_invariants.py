@@ -9,10 +9,7 @@ import pytest
 from repro.core.results import SynthesisReport
 from repro.core.stream import attempt_stream
 from repro.privacy.accountant import PrivacyAccountant
-from repro.privacy.plausible_deniability import (
-    PlausibleDeniabilityParams,
-    PrivacyTestResult,
-)
+from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 from repro.testing.invariants import (
     InvariantViolation,
     assert_reports_identical,
@@ -275,18 +272,15 @@ class TestAccountantConservationChecker:
 
 class TestTheorem1Checker:
     @staticmethod
-    def _report(schema, results):
+    def _report(schema, **test_columns):
+        """A one-attempt report holding the given privacy-test values."""
         return SynthesisReport(
             schema,
             {
-                "seed_indices": np.zeros(len(results), dtype=np.int64),
-                "candidates": np.zeros((len(results), len(schema)), dtype=np.int64),
-                "passed": [result.passed for result in results],
-                "plausible_seeds": [result.plausible_seeds for result in results],
-                "partition_indices": [result.partition_index for result in results],
-                "thresholds": [result.threshold for result in results],
-                "records_checked": [result.records_checked for result in results],
-                "count_saturated": [result.count_saturated for result in results],
+                "seed_indices": [0],
+                "candidates": np.zeros((1, len(schema)), dtype=np.int64),
+                "count_saturated": [False],
+                **{name: [value] for name, value in test_columns.items()},
             },
         )
 
@@ -298,40 +292,40 @@ class TestTheorem1Checker:
 
     def test_inconsistent_deterministic_decision_detected(self, tiny_fit):
         params = tiny_fit.params
-        bad = PrivacyTestResult(
+        report = self._report(
+            tiny_fit.seeds.schema,
             passed=True,
             plausible_seeds=params.k - 1,  # below k yet "passed"
-            partition_index=0,
-            threshold=float(params.k),
+            partition_indices=0,
+            thresholds=float(params.k),
             records_checked=10,
         )
-        report = self._report(tiny_fit.seeds.schema, [bad])
         with pytest.raises(InvariantViolation, match="contradicts"):
             check_theorem1_bounds(report, params)
 
     def test_released_without_a_bucket_detected(self, tiny_fit):
         params = tiny_fit.params
-        bad = PrivacyTestResult(
+        report = self._report(
+            tiny_fit.seeds.schema,
             passed=False,
             plausible_seeds=0,
-            partition_index=-1,  # the seed could not have generated y
-            threshold=float(params.k),
+            partition_indices=-1,  # the seed could not have generated y
+            thresholds=float(params.k),
             records_checked=10,
         )
-        report = self._report(tiny_fit.seeds.schema, [bad])
         with pytest.raises(InvariantViolation, match="bucket"):
             check_theorem1_bounds(report, params)
 
     def test_overscanning_detected(self, tiny_fit):
         params = tiny_fit.params
-        bad = PrivacyTestResult(
+        report = self._report(
+            tiny_fit.seeds.schema,
             passed=False,
             plausible_seeds=1,
-            partition_index=0,
-            threshold=float(params.k),
+            partition_indices=0,
+            thresholds=float(params.k),
             records_checked=10_000,
         )
-        report = self._report(tiny_fit.seeds.schema, [bad])
         with pytest.raises(InvariantViolation, match="scanned"):
             check_theorem1_bounds(report, params, num_seed_records=len(tiny_fit.seeds))
 
