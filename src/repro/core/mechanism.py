@@ -173,7 +173,8 @@ class SynthesisMechanism:
         Every draw of an attempt comes from its own words of the stream, so
         each candidate and release decision is the one the paper's
         one-candidate loop would make for that attempt index, whatever the
-        batch.  The kernels' arrays become the block's columns as they are.
+        batch.  The kernels' arrays become the block's columns as they are,
+        without a second check (:meth:`SynthesisReport._unchecked`).
         When the prefix-key index counts, the walk over σ that samples the
         candidates also forms their factors q_ω(y), so σ is walked once per
         batch.
@@ -212,7 +213,7 @@ class SynthesisMechanism:
                 tested = self._test.run_batch(
                     seed_probabilities, probability_matrix, words
                 )
-        return SynthesisReport(
+        return SynthesisReport._unchecked(
             self._seeds.schema,
             {"seed_indices": seed_indices, "candidates": candidates, **tested},
         )
@@ -273,28 +274,30 @@ class SynthesisMechanism:
 
         # A candidate keeps its seed's prefix for the largest ω, so it shares
         # its seed's multiplicity there; only smaller ω key the candidate.
-        keys = {
-            omega: self._model.fixed_prefix_keys(candidates, omega)
-            for omega in set(omegas) - {widest}
-        }
         seed_counts = index.seed_counts[seed_indices]
-        cumulative_matches = np.array(
-            [
-                seed_counts if omega == widest else index.multiplicities(omega, keys[omega])
-                for omega in omegas
-            ]
-        )
-        # Prefix nesting makes the cumulative match counts monotone in j;
-        # differencing yields the exact per-class counts.
-        class_counts = np.diff(cumulative_matches, axis=0, prepend=0)
-
-        class_partitions = partition_numbers(class_probabilities, self._params.gamma)
-        # The true seed always matches the prefix of its drawn ω and of every
-        # larger one, so its class is the first matching one.  With one
-        # distinct ω that is class 0: the candidate copied the seed's prefix.
-        if not keys:
-            seed_partitions = class_partitions[0]
+        if omegas[0] == widest:
+            # One distinct ω: every plausible seed shares the candidate's
+            # fixed prefix, which the candidate copied from its true seed, so
+            # all of them fall in the seed's class 0 and its partition.
+            seed_partitions = partition_numbers(class_probabilities[0], self._params.gamma)
+            counts = seed_counts
         else:
+            keys = {
+                omega: self._model.fixed_prefix_keys(candidates, omega)
+                for omega in set(omegas) - {widest}
+            }
+            cumulative_matches = np.array(
+                [
+                    seed_counts if omega == widest else index.multiplicities(omega, keys[omega])
+                    for omega in omegas
+                ]
+            )
+            # Prefix nesting makes the cumulative match counts monotone in j;
+            # differencing yields the exact per-class counts.
+            class_counts = np.diff(cumulative_matches, axis=0, prepend=0)
+            class_partitions = partition_numbers(class_probabilities, self._params.gamma)
+            # The true seed always matches the prefix of its drawn ω and of
+            # every larger one, so its class is the first matching one.
             seed_rows = np.take(self._seeds.data, seed_indices, axis=0)
             seed_keys = {
                 omega: self._model.fixed_prefix_keys(seed_rows, omega) for omega in keys
@@ -309,9 +312,9 @@ class SynthesisMechanism:
             )
             seed_class = np.argmax(seed_matches, axis=0)
             seed_partitions = class_partitions[seed_class, np.arange(num_candidates)]
-        counts = np.sum(
-            class_counts * (class_partitions == seed_partitions[None, :]), axis=0
-        )
+            counts = np.sum(
+                class_counts * (class_partitions == seed_partitions[None, :]), axis=0
+            )
         checked = np.full(num_candidates, len(self._seeds), dtype=np.int64)
         saturated = np.zeros(num_candidates, dtype=bool)
         return counts, seed_partitions, checked, saturated

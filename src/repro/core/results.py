@@ -5,6 +5,15 @@ produce (:data:`COLUMNS`), from ``propose_batch`` through worker IPC, run
 checkpoints and the engine's merge to the service: no object per candidate.
 Between processes and on disk the integer columns travel narrowed
 (:func:`narrow_columns`); :meth:`SynthesisReport.from_arrays` widens them.
+
+Columns are validated where they enter from outside the kernels: the
+constructor and :meth:`SynthesisReport.from_arrays`, which the engine uses for
+worker IPC and run checkpoints, check every column's presence, dtype and
+shape.  A block ``propose_batch`` has just built is adopted as it is
+(:meth:`SynthesisReport._unchecked`): the mechanism builds each column in its
+:data:`COLUMNS` dtype with one common length n, ``candidates`` n×m and
+C-contiguous, which the tier-1 tests check on every registry scenario.  Every
+column of every report is read-only.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ def narrow_columns(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def _checked_columns(schema: Schema, arrays: Mapping) -> dict[str, np.ndarray]:
-    """Adopt ``arrays`` as read-only columns (no copy if the dtype matches), or raise."""
+    """``arrays`` as columns in their dtypes (no copy if the dtype matches), or raise."""
     missing = [name for name in COLUMNS if name not in arrays]
     if missing:
         raise ValueError(f"missing column(s) {missing}")
@@ -72,9 +81,7 @@ def _checked_columns(schema: Schema, arrays: Mapping) -> dict[str, np.ndarray]:
         column = np.asarray(arrays[name])
         if not np.can_cast(column.dtype, dtype, casting="safe"):
             raise ValueError(f"column {name!r} has dtype {column.dtype}, not {dtype.__name__}")
-        column = column.astype(dtype, copy=False)
-        column.flags.writeable = False
-        columns[name] = column
+        columns[name] = column.astype(dtype, copy=False)
     seeds = columns["seed_indices"]
     rows = len(seeds) if seeds.ndim == 1 else None
     for name, column in columns.items():
@@ -96,8 +103,30 @@ class SynthesisReport:
 
     def __init__(self, schema: Schema, columns: Mapping | None = None):
         self.schema = schema
-        self._blocks = [] if columns is None else [_checked_columns(schema, columns)]
-        passed = self._blocks[0]["passed"] if self._blocks else ()
+        self._blocks = []
+        self._num_attempts = self._num_released = 0
+        if columns is not None:
+            self._adopt(_checked_columns(schema, columns))
+
+    @classmethod
+    def _unchecked(cls, schema: Schema, columns: dict[str, np.ndarray]) -> "SynthesisReport":
+        """A one-block report over ``columns`` as they are: the unchecked constructor.
+
+        For blocks whose builder guarantees the column contract (every
+        :data:`COLUMNS` dtype, one common length n, ``candidates`` n×m):
+        ``propose_batch``'s and :meth:`until_released`'s.  The arrays become
+        the columns without a copy and are marked read-only.
+        """
+        report = cls(schema)
+        report._adopt(columns)
+        return report
+
+    def _adopt(self, columns: dict[str, np.ndarray]) -> None:
+        """Make ``columns`` the report's one block, read-only."""
+        for column in columns.values():
+            column.flags.writeable = False
+        passed = columns["passed"]
+        self._blocks = [columns]
         self._num_attempts = len(passed)
         self._num_released = int(np.count_nonzero(passed))
 
@@ -139,7 +168,7 @@ class SynthesisReport:
         rows = 0 if target <= 0 else int(np.flatnonzero(self["passed"])[target - 1]) + 1
         if rows == self._num_attempts:
             return self
-        return SynthesisReport(
+        return SynthesisReport._unchecked(
             self.schema, {name: column[:rows].copy() for name, column in self._columns().items()}
         )
 

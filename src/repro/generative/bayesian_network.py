@@ -48,14 +48,20 @@ class BayesianNetworkSynthesizer:
     :meth:`candidate_factor_suffix_products`, ...) check their input matrix
     once per call — its shape and one vectorized domain check against the
     cardinalities — and then walk the re-sampling order without further
-    checks, over lookup arrays derived once per model: the attributes' bucket
-    tables, the tables' row CDFs and configuration strides, and the
-    fixed-prefix key weights of every ω.  The derived arrays are not part of
-    the pickled state; unpickling rebuilds them.  The mechanism's proposal
-    path walks σ once per batch: :meth:`generate_batch` fills the candidates'
-    suffix products as it samples them, and
-    :meth:`candidate_factor_suffix_products` stays as their oracle and as the
-    dense probability matrix's kernel.
+    checks, over lookup arrays derived once per model: per σ position, one
+    configuration lookup per parent; the tables' row CDFs; and the
+    fixed-prefix key weights of every ω.  A parent's lookup maps its raw code
+    to its bucket times its mixed-radix stride in the table, so a row's
+    configuration index is the sum of one gather per parent and the walks
+    never bucketize a record.  The derived arrays are not part of the pickled
+    state; unpickling rebuilds them.  The mechanism's proposal path walks σ
+    once per batch: :meth:`generate_batch` fills the candidates' suffix
+    products as it samples them, and :meth:`candidate_factor_suffix_products`
+    stays as their oracle and as the dense probability matrix's kernel.
+
+    The lookups are only right if every table's radices are its parents'
+    bucketized cardinalities and its width is its attribute's cardinality,
+    so the constructor (and with it unpickling) refuses any other table.
     """
 
     def __init__(
@@ -93,6 +99,18 @@ class BayesianNetworkSynthesizer:
                 raise ValueError(
                     f"table for attribute {index} does not match the structure's parents"
                 )
+            if table.cardinality != schema[index].cardinality:
+                raise ValueError(
+                    f"table for attribute {index} has {table.cardinality} values, "
+                    f"the schema's attribute has {schema[index].cardinality}"
+                )
+            declared = tuple(int(radix) for radix in table.parent_cardinalities)
+            radices = tuple(schema[parent].bucketized_cardinality for parent in table.parents)
+            if declared != radices:
+                raise ValueError(
+                    f"table for attribute {index} has parent radices {declared}, "
+                    f"its parents' bucketized cardinalities are {radices}"
+                )
         self._schema = schema
         self._structure = structure
         self._tables = tuple(tables)
@@ -104,17 +122,27 @@ class BayesianNetworkSynthesizer:
         schema = self._schema
         cardinalities = schema.cardinalities
         # Every attribute's bucket table back to back: code c of attribute a
-        # sits at _bucket_offsets[a] + c, so one gather bucketizes a matrix.
+        # sits at _bucket_offsets[a] + c, so one gather bucketizes a matrix
+        # (for bucketize_records and the scalar oracle; the walks never do).
         self._bucket_offsets = np.cumsum([0, *cardinalities[:-1]], dtype=np.int64)
         self._bucket_lookup = np.concatenate([attribute.bucket_table for attribute in schema])
-        # One entry per σ position: the attribute, its parents' columns, its
-        # table and its bucket table.
+        # One entry per σ position: the attribute, its table, and one
+        # (parent, lookup) pair per parent.  ``lookup[code]`` is the code's
+        # bucket times the parent's mixed-radix stride in the table, so the
+        # lookups of a row's parent codes add up to its configuration index:
+        # the same integer configuration_indices forms from bucketized
+        # parent values, without bucketizing the record.
         self._plan = tuple(
             (
                 attribute,
-                np.array(self._structure.parents[attribute], dtype=np.intp),
                 self._tables[attribute],
-                schema[attribute].bucket_table,
+                tuple(
+                    (parent, schema[parent].bucket_table * stride)
+                    for parent, stride in zip(
+                        self._structure.parents[attribute],
+                        mixed_radix_strides(self._tables[attribute].parent_cardinalities),
+                    )
+                ),
             )
             for attribute in self._structure.order
         )
@@ -300,8 +328,9 @@ class BayesianNetworkSynthesizer:
         if lowest < 0 or highest > m:
             raise ValueError(f"omega values must lie in [0, {m}]")
 
-        records = matrix.copy()
-        bucketized = self._bucketize(records)
+        # The walk reads and writes whole attributes, so it runs on an
+        # attribute-major copy: one contiguous row per attribute.
+        columns = matrix.T.copy()
         first = m - highest
         if suffix_products is not None:
             first = min(first, m - max(self._omegas))
@@ -309,19 +338,18 @@ class BayesianNetworkSynthesizer:
         # Attribute at position p is re-sampled for a row iff ω >= m - p: for
         # no row before position m - highest, for every row from m - lowest.
         for position in range(first, m):
-            attribute, parents, table, bucket_table = self._plan[position]
-            configs = table._configuration_indices(bucketized[:, parents])
+            attribute, table, _ = self._plan[position]
+            configs = self._configurations(columns, position)
             if position >= m - lowest:
                 values = table._sample_batch(words.position(position), configs)
-                records[:, attribute] = values
-                bucketized[:, attribute] = bucket_table[values]
+                columns[attribute] = values
             else:
                 if position >= m - highest:
                     rows = np.nonzero(omega_draws >= m - position)[0]
-                    sampled = table._sample_batch(words.position(position)[rows], configs[rows])
-                    records[rows, attribute] = sampled
-                    bucketized[rows, attribute] = bucket_table[sampled]
-                values = records[:, attribute]
+                    columns[attribute, rows] = table._sample_batch(
+                        words.position(position)[rows], configs[rows]
+                    )
+                values = columns[attribute]
             if suffix_products is not None:
                 suffix_products[position] = table._probabilities_batch(values, configs)
         if suffix_products is not None:
@@ -331,7 +359,24 @@ class BayesianNetworkSynthesizer:
                     suffix_products[position],
                     out=suffix_products[position],
                 )
-        return records
+        return np.ascontiguousarray(columns.T)
+
+    def _configurations(self, columns: np.ndarray, position: int) -> np.ndarray:
+        """Configuration index of every record at σ position ``position``.
+
+        ``columns`` holds the records attribute-major (one row per
+        attribute).  The index is the sum of one gather per parent from that
+        parent's lookup (see :meth:`_compile`), indexed by the parent's own
+        codes.  Unchecked: the codes must be in their domains.
+        """
+        lookups = self._plan[position][2]
+        if not lookups:
+            return np.zeros(columns.shape[1], dtype=np.int64)
+        (parent, lookup), *rest = lookups
+        configs = lookup[columns[parent]]
+        for parent, lookup in rest:
+            configs += lookup[columns[parent]]
+        return configs
 
     # ------------------------------------------------------------------ #
     # Probabilities
@@ -411,21 +456,23 @@ class BayesianNetworkSynthesizer:
 
         ``row[m - ω]`` is exactly q_ω(y) for every candidate, so one backward
         walk over the re-sampling order serves every ω of the ω set at once —
-        the per-ω callers would otherwise re-bucketize the candidate block and
-        recompute the overlapping factor products once per ω.
+        the per-ω callers would otherwise re-index the candidate block and
+        recompute the overlapping factor products once per ω.  Its
+        configuration indices come from the same per-parent lookups as
+        :meth:`generate_batch`'s.
         """
         return self._suffix_products(self._schema.check_codes(candidates))
 
     def _suffix_products(self, matrix: np.ndarray) -> np.ndarray:
         """Unchecked kernel of :meth:`candidate_factor_suffix_products`."""
         m = len(self._schema)
-        bucketized = self._bucketize(matrix)
+        columns = matrix.T.copy()
         products = np.ones((m + 1, matrix.shape[0]), dtype=np.float64)
         for position in range(m - 1, -1, -1):
-            attribute, parents, table, _ = self._plan[position]
-            configs = table._configuration_indices(bucketized[:, parents])
+            attribute, table, _ = self._plan[position]
+            configs = self._configurations(columns, position)
             products[position] = products[position + 1] * table._probabilities_batch(
-                matrix[:, attribute], configs
+                columns[attribute], configs
             )
         return products
 

@@ -116,10 +116,14 @@ class ConditionalParameters:
     the pickled state and are rebuilt on unpickling.  The kernels carry a
     leading underscore and check nothing:
     :class:`~repro.generative.bayesian_network.BayesianNetworkSynthesizer`
-    calls them directly after validating whole record matrices once.
-    :meth:`configuration_indices` and :meth:`probabilities_batch` are their
-    checked forms; the sampler :meth:`_sample_batch` has none, because it
-    only runs inside the network's ``generate_batch``.
+    calls :meth:`_sample_batch` and :meth:`_probabilities_batch` directly
+    after validating whole record matrices once, with configuration indices
+    it forms from its own per-parent lookups (bucket times stride), so its
+    walks never call :meth:`_configuration_indices`.
+    :meth:`configuration_indices` and :meth:`probabilities_batch` are the
+    checked forms, and the former is the lookups' test oracle; the sampler
+    :meth:`_sample_batch` has none, because it only runs inside the
+    network's ``generate_batch``.
     """
 
     attribute_index: int

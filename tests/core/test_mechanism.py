@@ -1,12 +1,16 @@
 """Tests for Mechanism 1 (seed -> candidate -> privacy test -> release)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.mechanism import SynthesisMechanism
+from repro.core.results import COLUMNS
 from repro.core.stream import attempt_stream
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 from repro.testing.invariants import reference_attempt, reference_propose
+from repro.testing.scenarios import get_scenario, scenario_names
 
 
 @pytest.fixture()
@@ -133,3 +137,32 @@ class TestRunAttempts:
         report = mechanism.run_attempts(30, stream)
         assert np.all(report["plausible_seeds"][report["passed"]] >= 10)
         assert np.all(report["records_checked"] <= 2000)
+
+
+@pytest.mark.parametrize("path", ["index", "dense"])
+@pytest.mark.parametrize("mode", ["deterministic", "randomized"])
+@pytest.mark.parametrize("scenario", scenario_names())
+def test_proposal_blocks_keep_the_column_contract(scenario, mode, path):
+    """``propose_batch`` hands its columns to the report unchecked, so it must
+    build each in its ``COLUMNS`` dtype with one common length, read-only, and
+    ``candidates`` n×m and C-contiguous; ``from_arrays`` validates the rest."""
+    fit = get_scenario(scenario).fit(seed=0)
+    params = dataclasses.replace(
+        fit.params,
+        epsilon0=None if mode == "deterministic" else 1.0,
+        max_check_plausible=None if path == "index" else len(fit.seeds) // 2,
+        max_plausible=None,
+    )
+    mechanism = SynthesisMechanism(fit.model, fit.seeds, params)
+    stream = attempt_stream(2701)
+    for num_rows in (1, 7, 256):
+        block = mechanism.propose_batch(num_rows, stream)
+        for name, dtype in COLUMNS.items():
+            column = block[name]
+            assert column.dtype == dtype, name
+            assert len(column) == num_rows, name
+            assert not column.flags.writeable, name
+        assert block["candidates"].shape == (num_rows, len(fit.model.schema))
+        assert block["candidates"].flags.c_contiguous
+    index = mechanism._match_index
+    assert (index is not None and index.supported) == (path == "index")

@@ -6,7 +6,9 @@ largest ω's counts from each seed record's own key multiplicity.  These tests
 pin both against their oracles bit for bit
 (``candidate_factor_suffix_products``, and ``_SeedMatchIndex.multiplicities``
 of ``fixed_prefix_keys``) and check that a proposal batch no longer calls
-them.
+them.  Both walks form configuration indices from the same per-parent
+lookups, so the indices are pinned on their own against
+``ConditionalParameters.configuration_indices`` of bucketized records.
 """
 
 import numpy as np
@@ -15,9 +17,10 @@ import pytest
 from repro.core.mechanism import SynthesisMechanism, _SeedMatchIndex
 from repro.core.stream import attempt_stream
 from repro.generative.bayesian_network import BayesianNetworkSynthesizer
-from repro.generative.parameters import ParameterLearner
+from repro.generative.parameters import ConditionalParameters, ParameterLearner
 from repro.generative.structure import DependencyStructure
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
+from repro.testing.scenarios import get_scenario, scenario_names
 
 OMEGA_SETS = (9, (9, 9), (2, 3), (4, 7, 11))
 BATCH_SIZES = (1, 7, 32, 255, 256, 2048)
@@ -168,3 +171,69 @@ def test_mixed_omega_batch_keys_only_below_the_largest(monkeypatch, unnoised_mod
     keyed = {args[1] for name, args in calls if name == "fixed_prefix_keys"}
     counted = {args[0] for name, args in calls if name == "multiplicities"}
     assert keyed == counted == {4, 7}
+
+
+def _covering_records(model) -> np.ndarray:
+    """Records on which every table meets every one of its configurations.
+
+    Each configuration appears twice: with every parent at the first and at
+    the last code of its bucket, so the last bucket's last code is covered.
+    Attributes that are no parent of the table stay at code 0.
+    """
+    schema = model.schema
+    blocks = []
+    for table in model.tables:
+        digits = ()
+        if table.parents:
+            digits = np.unravel_index(
+                np.arange(table.num_configurations), table.parent_cardinalities
+            )
+        for end in ("first", "last"):
+            rows = np.zeros((table.num_configurations, len(schema)), dtype=np.int64)
+            for parent, parent_digits in zip(table.parents, digits):
+                bucket_table = schema[parent].bucket_table
+                if end == "first":
+                    codes = np.unique(bucket_table, return_index=True)[1]
+                else:
+                    reversed_first = np.unique(bucket_table[::-1], return_index=True)[1]
+                    codes = len(bucket_table) - 1 - reversed_first
+                rows[:, parent] = codes[parent_digits]
+            blocks.append(rows)
+    return np.concatenate(blocks)
+
+
+@pytest.fixture(scope="module", params=[*scenario_names(), "bucketized-network"])
+def network(request, acs_splits):
+    """(model, seeds, params): every registry scenario's fit, and ``bucketized_network``."""
+    if request.param == "bucketized-network":
+        return request.getfixturevalue("bucketized_network"), acs_splits.seeds, PARAMS
+    fit = get_scenario(request.param).fit(seed=0)
+    return fit.model, fit.seeds, fit.params
+
+
+def test_configuration_indices_come_from_per_parent_lookups(monkeypatch, network):
+    model, seeds, params = network
+    records = _covering_records(model)
+    columns = np.ascontiguousarray(records.T)
+    bucketized = model.bucketize_records(records)
+    for position, attribute in enumerate(model.structure.order):
+        table = model.tables[attribute]
+        expected = table.configuration_indices(
+            bucketized[:, list(model.structure.parents[attribute])]
+        )
+        assert np.array_equal(np.unique(expected), np.arange(table.num_configurations))
+        assert np.array_equal(model._configurations(columns, position), expected), position
+
+    # No proposal batch bucketizes a record or multiplies by strides.
+    def refuse(*args):
+        raise AssertionError("a proposal batch bucketized records or multiplied by strides")
+
+    monkeypatch.setattr(BayesianNetworkSynthesizer, "_bucketize", refuse)
+    monkeypatch.setattr(ConditionalParameters, "_configuration_indices", refuse)
+    m = len(model.schema)
+    for omegas in OMEGA_SETS:
+        clipped = tuple(min(omega, m) for omega in np.atleast_1d(omegas).tolist())
+        mechanism = SynthesisMechanism(_with_omegas(model, clipped), seeds, params).prepare()
+        stream = attempt_stream(2404)
+        for num_rows in (1, 32, 255, 256, 2048):
+            assert mechanism.propose_batch(num_rows, stream).num_attempts == num_rows

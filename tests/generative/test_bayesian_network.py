@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.stream import attempt_stream
 from repro.generative.builder import GenerativeModelSpec, fit_bayesian_network
 from repro.generative.bayesian_network import BayesianNetworkSynthesizer
+from repro.generative.parameters import ConditionalParameters
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,55 @@ class TestConstruction:
             BayesianNetworkSynthesizer(
                 toy_model.schema, toy_model.structure, reordered, omega=2
             )
+
+
+def _assert_refused(model, attribute, table, match):
+    """A network whose ``attribute`` has ``table`` is refused, built or unpickled."""
+    tables = list(model.tables)
+    tables[attribute] = table
+    with pytest.raises(ValueError, match=match):
+        BayesianNetworkSynthesizer(model.schema, model.structure, tables, model.omegas)
+    state = {**model.__getstate__(), "_tables": tuple(tables)}
+    with pytest.raises(ValueError, match=match):
+        BayesianNetworkSynthesizer.__new__(BayesianNetworkSynthesizer).__setstate__(state)
+
+
+class TestTablesMatchTheSchema:
+    """The batch kernels index tables by the schema's domains, so a table that
+    disagrees with them would silently read another configuration's row."""
+
+    def test_parent_radices_must_be_the_bucketized_cardinalities(self, unnoised_model):
+        # WKHP (100 values) has two parents; declare its last parent one
+        # bucket short and keep the rows the shorter radix asks for.
+        attribute = unnoised_model.schema.index_of("WKHP")
+        original = unnoised_model.tables[attribute]
+        assert len(original.parents) == 2
+        radices = (*original.parent_cardinalities[:-1], original.parent_cardinalities[-1] - 1)
+        rows = int(np.prod(radices))
+        table = ConditionalParameters(
+            attribute_index=attribute,
+            parents=original.parents,
+            parent_cardinalities=radices,
+            table=original.table[:rows],
+            counts=original.counts[:rows],
+            prior=original.prior,
+        )
+        _assert_refused(unnoised_model, attribute, table, "parent radices")
+
+    def test_table_width_must_be_the_attribute_cardinality(self, unnoised_model):
+        attribute = unnoised_model.schema.index_of("WKHP")
+        original = unnoised_model.tables[attribute]
+        narrow = original.table[:, :-1]
+        table = ConditionalParameters(
+            attribute_index=attribute,
+            parents=original.parents,
+            parent_cardinalities=original.parent_cardinalities,
+            table=narrow / narrow.sum(axis=1, keepdims=True),
+            counts=original.counts[:, :-1],
+            prior=original.prior[:-1],
+        )
+        assert table.cardinality == unnoised_model.schema[attribute].cardinality - 1
+        _assert_refused(unnoised_model, attribute, table, "has 99 values")
 
 
 def _generate(model, seeds, omega=None, base_seed=0):
