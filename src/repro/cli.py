@@ -22,10 +22,12 @@ The config file is a JSON object with the privacy-test parameters (``k``,
 ``gamma``, ``epsilon0``, ``max_plausible``, ``max_check_plausible``), the
 generative-model parameters (``omega``, ``total_epsilon``), the data-split
 fractions, the synthesis ``batch_size`` (at most how many candidates
-Mechanism 1 pushes through the vectorized batch path at once; 1 is a batch
-of one) and the synthesis-engine knobs (``workers``, ``chunk_size`` — see
-the README's "Scaling out" section); any omitted key falls back to the
-defaults below.  Every release runs through the same engine and every
+Mechanism 1 pushes through the vectorized batch path at once, 8,192 by
+default; 1 is a batch of one; a batch stays inside its 2,048-attempt chunk
+in-process, and on a worker pool it bounds how many consecutive chunks a
+worker computes as one batch) and the synthesis-engine knobs (``workers``,
+``chunk_size`` — see the README's "Scaling out" section); any omitted key
+falls back to the defaults below.  Every release runs through the same engine and every
 attempt draws from its own counter-addressed words, so ``workers``,
 ``batch_size`` and ``chunk_size`` only change how fast the rows come out,
 never which rows.
@@ -76,7 +78,7 @@ _DEFAULT_CONFIG = {
     "max_check_plausible": None,
     "max_parent_cost": 300,
     "max_table_cells": None,
-    "batch_size": 2048,
+    "batch_size": 8192,
     # Worker processes of the synthesis engine: 1 runs it in-process, more
     # start a pool (see --workers).  The rows do not depend on it.
     "workers": 1,
@@ -119,7 +121,7 @@ def build_config(options: dict, num_attributes: int) -> GenerationConfig:
             omega=omega,
             structure=structure,
         )
-    for key, hint in (("batch_size", "2048"), ("workers", "1")):
+    for key, hint in (("batch_size", "8192"), ("workers", "1")):
         if merged[key] is None:
             raise ValueError(
                 f"config key {key!r} must be a positive integer, not null "

@@ -36,18 +36,23 @@ class GenerationConfig:
         almost nothing passes the test).
     batch_size:
         Most candidates per vectorized proposal batch of Mechanism 1, a
-        positive int (1 is a batch of one).  A speed knob only: attempts are
-        counter-addressed (:mod:`repro.core.stream`), so it never changes the
-        released rows.
+        positive int (default 8,192; 1 is a batch of one).  An in-process
+        engine keeps each batch inside its chunk, so there the default
+        proposes ``chunk_size``-attempt batches; on a worker pool it also
+        bounds a worker's assignment at ``batch_size // chunk_size``
+        consecutive chunks, computed as one batch.  A speed knob only:
+        attempts are counter-addressed (:mod:`repro.core.stream`), so it
+        never changes the released rows.
     num_workers:
         Worker processes of :class:`~repro.core.engine.SynthesisEngine`,
         which runs every release: 1 (the default) runs it in-process, larger
         values on a shared-memory worker pool.  A performance knob only: the
         released rows are the same for every worker count.
     chunk_size:
-        Attempts per dynamically dispatched engine chunk.  It never changes
-        the released rows; it is the grid of a run's checkpoints, so resuming
-        an engine run id requires the same chunk size.
+        Attempts per engine chunk (default 2,048).  It never changes the
+        released rows; it is the grid of a run's checkpoints, progress
+        events and crash retries, so resuming an engine run id requires the
+        same chunk size.
     max_chunk_retries:
         How many times the engine supervisor may re-execute a chunk lost to
         a crashed worker before failing the job (0 = any crash fails the
@@ -64,7 +69,7 @@ class GenerationConfig:
     structure_fraction: float = 0.175
     parameter_fraction: float = 0.175
     max_attempts_per_release: int = 1000
-    batch_size: int = 2048
+    batch_size: int = 8192
     num_workers: int = 1
     chunk_size: int = 2048
     max_chunk_retries: int = 2

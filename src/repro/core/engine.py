@@ -11,26 +11,34 @@ service all go through it — and is a long-lived execution layer:
   attach zero-copy read-only views at startup.  Only a small skeleton spec
   (schema, structure, array offsets) is pickled, once, when the pool starts.
 
-* **Parent-assigned chunks.**  Each worker has one ``multiprocessing.Pipe``
-  to the parent and holds at most one assignment: a chunk's job id, index,
-  lane seed, attempt range, batch size and lane target.  The parent sends a
-  worker its next chunk as soon as it has read that worker's result, so
-  fast workers take more chunks instead of idling behind a static split.
-  Requeued chunks go first; fresh chunks go in lane-local order, lower lanes
-  first.  In until-N-released mode the parent speculates no further than a
-  lane's target needs: it assigns a lane no further chunk while the lane's
-  received releases, plus its in-flight attempts at the pass rate of its
-  received chunks, are expected to reach the target (a lane with no received
-  chunk speculates freely).  The rule is re-checked at every dispatch, so a
-  lane whose in-flight chunks fall short gets its next chunk as soon as they
-  arrive, and the other lanes of a fold keep getting chunks meanwhile.  On
-  20,000-row perfbench releases this computes about 15 chunks per release
-  where assigning until the received chunks held the target computed 16.
-  No chunk computes past the lane's target itself.  A worker raises glibc's
+* **Parent-assigned chunk ranges.**  Each worker has one
+  ``multiprocessing.Pipe`` to the parent and holds at most one assignment: a
+  *range* of consecutive chunks of one lane (job id, first chunk index,
+  chunk count, lane seed, attempt range, batch size and lane target).  The
+  worker computes the range with one ``run_attempts`` call, one proposal
+  batch when the range fits ``batch_size``, and returns it in one message,
+  which the parent cuts back into chunks.  The parent sends a worker its
+  next range as soon as it has read that worker's result, so fast workers
+  take more work instead of idling behind a static split.  Requeued chunks
+  go first, one at a time; fresh ranges go in lane-local order, lower lanes
+  first.  A range is sized from the lane's need, as in guided
+  self-scheduling: its share of the lane's expected remaining attempts
+  (split evenly over the workers), in whole chunks, at least one and at
+  most ``batch_size // chunk_size``.  An until-N lane gets one chunk until a
+  release has arrived, so a release that needs about a chunk per worker is
+  dispatched as before.  In until-N-released mode the parent speculates no
+  further than a lane's target needs: it assigns a lane nothing while the
+  lane's received releases, plus its in-flight attempts at the pass rate of
+  its received chunks, are expected to reach the target.  The rule is
+  re-checked at every dispatch, so a lane whose in-flight chunks fall short
+  gets its next range as soon as they arrive, and the other lanes of a fold
+  keep getting ranges meanwhile.  A 20,000-row perfbench release computes
+  the same 15 chunks it computed one assignment each, in 8 assignments.  No
+  range computes past the lane's target itself.  A worker raises glibc's
   trim and mmap thresholds once at start (``mallopt``; nothing happens on a
   C library without it): a fresh process has a small heap, so glibc would
-  hand each chunk's few hundred KB of kernel temporaries back to the kernel
-  and fault them in again on the next chunk, about 125 minor page faults
+  hand each batch's few hundred KB of kernel temporaries back to the kernel
+  and fault them in again on the next batch, about 125 minor page faults
   per 2,048-attempt chunk on perfbench's model and 164 on the test
   fixture's, against none once the heap is kept.
 
@@ -38,12 +46,13 @@ service all go through it — and is a long-lived execution layer:
   (base seed, i, slot) (:mod:`repro.core.stream`), and chunk c of a lane is
   attempts ``[c * chunk_size, (c + 1) * chunk_size)``.  A chunk's content
   therefore depends only on its attempt range — never on the worker that ran
-  it, the batch size, or scheduling order — and an until-N release is the
-  first N passing attempt indices with the attempts before them.  The merged
-  report is the in-order concatenation of the chunk reports truncated at the
-  Nth release, so every worker count, batch size and chunk size releases the
-  *identical* rows with the identical accounting.  Chunks a speculating
-  worker completes beyond that point are discarded without being recorded.
+  it, the range it was computed in, the batch size, or scheduling order —
+  and an until-N release is the first N passing attempt indices with the
+  attempts before them.  The merged report is the in-order concatenation of
+  the chunk reports truncated at the Nth release, so every worker count,
+  batch size and chunk size releases the *identical* rows with the
+  identical accounting.  Chunks a speculating worker completes beyond that
+  point are discarded without being recorded.
 
 * **Request folding.**  :meth:`SynthesisEngine.generate_folded` fuses many
   until-N requests into ONE pool job: each request becomes a *lane* with its
@@ -71,12 +80,13 @@ service all go through it — and is a long-lived execution layer:
   on every worker's pipe and process sentinel at once, through one selector
   that registers a worker's two descriptors when it starts, so it sees a
   death as soon as it happens, and the dead worker's one assignment is
-  exactly the chunk it lost.  The parent respawns the worker against the
-  *existing* shared-memory segments and requeues that chunk, charging it
-  against ``max_chunk_retries``; the re-execution is bit-identical because a
-  chunk's content is a pure function of its attempt range.  Past the bound
-  the job fails with :class:`ChunkRetryExhaustedError` while the pool
-  (already repaired) stays usable.  A SIGKILL mid-send truncates only the dead
+  exactly the range it lost.  The parent respawns the worker against the
+  *existing* shared-memory segments and requeues every chunk of that range,
+  one assignment each, charging each once against ``max_chunk_retries``;
+  the re-execution is bit-identical because a chunk's content is a pure
+  function of its attempt range.  Past the bound the job fails with
+  :class:`ChunkRetryExhaustedError` while the pool (already repaired) stays
+  usable.  A SIGKILL mid-send truncates only the dead
   worker's own pipe, so no other worker's results are lost or held up.  The
   results of an abandoned job (a progress callback raised, a retry budget
   ran out) still arrive later and are dropped by job id.  A worker that
@@ -86,10 +96,11 @@ service all go through it — and is a long-lived execution layer:
   retry counters next to :meth:`SynthesisEngine.workload_fingerprint`.
 
 The in-process engine (``num_workers=1``, no subprocesses or shared memory)
-runs the same chunks as the pool and is its equivalence oracle.  It differs
-only in where an until-N chunk stops computing: at the lane's remaining
-target in-process, at the lane's whole target on a worker (which cannot see
-the other chunks).  The merged reports are identical.
+runs the same chunks as the pool, one at a time and in batches of at most a
+chunk, and is its equivalence oracle.  It differs only in where an until-N
+chunk stops computing: at the lane's remaining target in-process, at the
+lane's whole target on a worker (which cannot see the other ranges).  The
+merged reports are identical.
 """
 
 from __future__ import annotations
@@ -316,22 +327,20 @@ class _Job:
         """The global indices of one lane's chunks, in local order."""
         return range(self.offsets[lane_index], self.offsets[lane_index + 1])
 
-    def chunk_attempts(self, index: int) -> int:
-        lane_index, local_index = self.entry(index)
-        return self.lanes[lane_index].chunk_attempts(local_index, self.chunk_size)
-
-    def assignment(self, index: int) -> "_Assignment":
-        """What a worker needs to run global chunk ``index``."""
+    def assignment(self, index: int, chunks: int = 1) -> "_Assignment":
+        """What a worker needs to run ``chunks`` chunks of one lane from global chunk ``index``."""
         lane_index, local_index = self.entry(index)
         lane = self.lanes[lane_index]
+        start = local_index * self.chunk_size
         return _Assignment(
             job_id=self.job_id,
             index=index,
             base_seed=lane.base_seed,
-            start=local_index * self.chunk_size,
-            attempts=lane.chunk_attempts(local_index, self.chunk_size),
+            start=start,
+            attempts=min(chunks * self.chunk_size, lane.limit - start),
             batch_size=self.batch_size,
             target_released=lane.target_released,
+            chunks=chunks,
         )
 
     # Single-lane accessors: checkpoint signatures and resume metadata address
@@ -350,8 +359,9 @@ class _Job:
 
 
 class _Assignment(NamedTuple):
-    """One chunk handed to one worker: attempts ``[start, start + attempts)``
-    of the lane keyed by ``base_seed``, cut at the lane's whole target."""
+    """A range of ``chunks`` consecutive chunks from global chunk ``index``,
+    handed to one worker: attempts ``[start, start + attempts)`` of the lane
+    keyed by ``base_seed``, cut at the lane's whole target."""
 
     job_id: int
     index: int
@@ -360,6 +370,7 @@ class _Assignment(NamedTuple):
     attempts: int
     batch_size: int
     target_released: int | None
+    chunks: int = 1
 
 
 #: The task of a worker that has not reported ready yet; it holds no chunk.
@@ -424,7 +435,8 @@ def _keep_heap() -> None:
 
 
 def _run_chunk(mechanism: SynthesisMechanism, task: _Assignment) -> tuple:
-    """A worker's message for one assignment, with its columns narrowed."""
+    """A worker's message for one assignment, one report over its whole range,
+    with its columns narrowed."""
     report = mechanism.run_attempts(
         task.attempts,
         attempt_stream(task.base_seed, task.start),
@@ -437,13 +449,14 @@ def _run_chunk(mechanism: SynthesisMechanism, task: _Assignment) -> tuple:
 def _worker_main(spec: _WorkerSpec, conn: Connection, fault) -> None:
     """Worker entry point: build the mechanism once, then run assignments.
 
-    Every message to the parent is ``(job id, chunk index, released,
+    Every message to the parent is ``(job id, first chunk index, released,
     payload)``.  The startup report is ``(None, None, 0, None)``, or carries
     the traceback as its payload when the mechanism cannot be built.  A
-    chunk's payload is its narrowed report columns, or the traceback of the
+    range's payload is its narrowed report columns, or the traceback of the
     exception it raised.  The worker exits when the parent closes its end of
     the pipe.  ``fault`` is an optional :mod:`repro.testing.faults`
-    injection point fired before each chunk.
+    injection point, fired once for each chunk index of a range before the
+    range runs.
     """
     segments: list[SharedMemory] = []
     _keep_heap()
@@ -458,7 +471,8 @@ def _worker_main(spec: _WorkerSpec, conn: Connection, fault) -> None:
             task = conn.recv()
             try:
                 if fault is not None:
-                    fault.fire(task.index)
+                    for index in range(task.index, task.index + task.chunks):
+                        fault.fire(index)
                 message = _run_chunk(mechanism, task)
             except Exception:
                 message = (task.job_id, task.index, 0, traceback.format_exc())
@@ -488,15 +502,19 @@ class SynthesisEngine:
         is called; the pool then persists across calls until :meth:`close`.
         The worker count never changes a run's output.
     chunk_size:
-        Attempts per dispatched chunk.  Smaller chunks balance load better
-        and tighten the until-N stopping window; larger chunks amortize
-        dispatch overhead.  It never changes the rows; it is the grid of a
-        run's checkpoints, so resuming a run id requires the same chunk size.
+        Attempts per chunk (default 2,048).  It is the grid of a run's
+        checkpoints, progress events and crash retries, so resuming a run id
+        requires the same chunk size, and it caps an in-process batch.  A
+        pool assigns consecutive chunks of a lane as one range, sized from
+        the lane's need.  It never changes the rows.
     batch_size:
         Most candidates per
         :meth:`~repro.core.mechanism.SynthesisMechanism.propose_batch` call
-        inside each chunk (a positive int; 1 is a batch of one).  A speed
-        knob only: it never changes the rows.
+        (a positive int, default 8,192; 1 is a batch of one).  In-process a
+        batch also stays inside its chunk.  On a pool it also bounds a
+        range at ``max(1, batch_size // chunk_size)`` chunks, so the default
+        lets a worker compute up to four 2,048-attempt chunks as one batch.
+        A speed knob only: it never changes the rows.
     run_store:
         Optional :class:`~repro.core.run_store.RunStore`; run methods given a
         ``run_id`` checkpoint completed chunks there and resume from them.
@@ -521,7 +539,7 @@ class SynthesisEngine:
         *,
         num_workers: int = 1,
         chunk_size: int = 2048,
-        batch_size: int = 2048,
+        batch_size: int = 8192,
         run_store: RunStore | None = None,
         max_chunk_retries: int = 2,
         fault_injector=None,
@@ -583,7 +601,7 @@ class SynthesisEngine:
 
     @property
     def batch_size(self) -> int:
-        """Most candidates per proposal batch inside each chunk."""
+        """Most candidates per proposal batch."""
         return self._batch_size
 
     # ------------------------------------------------------------------ #
@@ -750,7 +768,8 @@ class SynthesisEngine:
         The release is the first ``num_released`` passing attempts of
         ``base_seed``'s stream.  The parent assigns no further chunk while the
         chunks it has received and those in flight are expected to hold the
-        target, so a pool stops within about one chunk of it instead of
+        target, and sizes each range from what the lane still needs, so a
+        pool stops within about one chunk of it instead of
         running out a static attempt budget; the in-process engine stops at
         the proposal batch that holds the target.
         ``max_attempts`` (default: 100 per requested record) still bounds the
@@ -931,17 +950,21 @@ class SynthesisEngine:
 
         def dispatch() -> None:
             # A worker that died idle gets nothing: its death is reported
-            # next, and a chunk it never received must not be charged for it.
+            # next, and a range it never received must not be charged for it.
             for worker in self._workers:
                 if worker.task is None and worker.process.is_alive():
-                    index = requeued.popleft() if requeued else cursors.next_chunk(
-                        other.task
-                        for other in self._workers
-                        if isinstance(other.task, _Assignment) and other.task.job_id == job.job_id
+                    task = job.assignment(requeued.popleft()) if requeued else cursors.next_range(
+                        (
+                            other.task
+                            for other in self._workers
+                            if isinstance(other.task, _Assignment)
+                            and other.task.job_id == job.job_id
+                        ),
+                        len(self._workers),
                     )
-                    if index is None:
+                    if task is None:
                         return
-                    worker.task = job.assignment(index)
+                    worker.task = task
                     try:
                         worker.conn.send(worker.task)
                     except OSError:
@@ -953,7 +976,10 @@ class SynthesisEngine:
                 if message is None:
                     lost = self._respawn(slot)
                     if lost is not None and lost.job_id == job.job_id:
-                        requeued.append(self._charge(lost.index))
+                        requeued.extend(
+                            self._charge(index)
+                            for index in range(lost.index, lost.index + lost.chunks)
+                        )
                     dispatch()
                     continue
                 job_id, index, released, payload = message
@@ -971,10 +997,36 @@ class SynthesisEngine:
                 cursors.receive(index, released, len(payload["passed"]))
                 dispatch()
                 report = SynthesisReport.from_arrays(self._schema, payload)
-                reports[index] = report
-                self._save_checkpoint(run_id, index, payload)
-                tracker.emit(index, report)
+                for chunk_index, chunk in self._chunks_of(report, index, job.chunk_size):
+                    reports[chunk_index] = chunk
+                    self._save_checkpoint(run_id, chunk_index, chunk.to_arrays())
+                    tracker.emit(chunk_index, chunk)
                 prefix.advance(job.entry(index)[0])
+
+    def _chunks_of(
+        self, report: SynthesisReport, first: int, chunk_size: int
+    ) -> list[tuple[int, SynthesisReport]]:
+        """A range's report cut at chunk boundaries: ``(global index, chunk)`` per chunk.
+
+        A range starts on its lane's chunk grid, so chunk ``first + j`` is
+        rows ``[j * chunk_size, (j + 1) * chunk_size)``.  A range stopped at
+        the lane's target yields its chunks up to the stop, the last one a
+        prefix, as a chunk stopped at the target is.  The chunks are views
+        of the range's columns.
+        """
+        if report.num_attempts <= chunk_size:
+            return [(first, report)]
+        columns = report.to_arrays()
+        return [
+            (
+                first + start // chunk_size,
+                SynthesisReport._unchecked(
+                    self._schema,
+                    {name: column[start:start + chunk_size] for name, column in columns.items()},
+                ),
+            )
+            for start in range(0, report.num_attempts, chunk_size)
+        ]
 
     def _events(self) -> list[tuple[int, tuple | None]]:
         """Block until workers send a message or die: ``(slot, message)`` each.
@@ -994,7 +1046,7 @@ class SynthesisEngine:
         return events
 
     def _respawn(self, slot: int) -> _Assignment | None:
-        """Replace the dead worker of ``slot``; return the chunk it lost."""
+        """Replace the dead worker of ``slot``; return the range it lost."""
         worker = self._workers[slot]
         lost = worker.task if isinstance(worker.task, _Assignment) else None
         self._worker_restarts += 1
@@ -1147,7 +1199,7 @@ class SynthesisEngine:
 
 
 class _LaneCursors:
-    """Which chunk the pool assigns next, lane by lane in lane-local order.
+    """Which range of chunks the pool assigns next, lane by lane in lane-local order.
 
     Each lane keeps a cursor at its next unassigned chunk, and the releases
     and attempts of its received chunks.  A lane is *covered* while its
@@ -1157,10 +1209,19 @@ class _LaneCursors:
     as far as the pool has workers.  Because a lane's chunks are assigned in
     order, once its received chunks alone hold its target every chunk its
     contiguous prefix needs is received or in flight.
+
+    A range is the lane's share of its expected remaining attempts, split
+    evenly over the workers, in whole chunks: at least one, at most
+    ``max(1, batch_size // chunk_size)``.  An until-N lane expects to need
+    its missing releases over its received pass rate, less its in-flight
+    attempts, and takes one chunk until a release has arrived; a
+    fixed-budget lane needs the attempts past its cursor.  A range ends
+    before a checkpointed chunk and at the lane's last chunk.
     """
 
     def __init__(self, job: _Job, reports: Mapping[int, SynthesisReport]):
         self._job = job
+        self._longest = max(1, job.batch_size // job.chunk_size)
         self._next = [0] * len(job.lanes)
         self._released = [0] * len(job.lanes)
         self._attempts = [0] * len(job.lanes)
@@ -1168,18 +1229,18 @@ class _LaneCursors:
             self.receive(index, report.num_released, report.num_attempts)
 
     def receive(self, index: int, released: int, attempts: int) -> None:
-        """Count one received chunk toward its lane's pass rate."""
+        """Count a received range, from its first chunk ``index``, toward its lane's pass rate."""
         lane_index = self._job.entry(index)[0]
         self._released[lane_index] += released
         self._attempts[lane_index] += attempts
 
-    def next_chunk(self, in_flight: Iterable[_Assignment]) -> int | None:
-        """The next chunk of the lowest uncovered lane, or None if no lane needs one."""
+    def next_range(self, in_flight: Iterable[_Assignment], workers: int) -> _Assignment | None:
+        """The next range of the lowest uncovered lane, or None if no lane needs one."""
         job = self._job
         pending = [0] * len(job.lanes)
         for task in in_flight:
             pending[job.entry(task.index)[0]] += task.attempts
-        for lane_index, lane in enumerate(job.lanes):
+        for lane_index in range(len(job.lanes)):
             chunks = job.lane_chunks(lane_index)
             local = self._next[lane_index]
             while local < len(chunks) and chunks[local] in job.completed:
@@ -1187,9 +1248,25 @@ class _LaneCursors:
             self._next[lane_index] = local
             if local == len(chunks) or self._covered(lane_index, pending[lane_index]):
                 continue
-            self._next[lane_index] = local + 1
-            return chunks[local]
+            share = self._expected_remaining(lane_index, local, pending[lane_index]) / workers
+            length = min(self._longest, max(1, int(share // job.chunk_size)))
+            end = local + 1
+            while end < min(len(chunks), local + length) and chunks[end] not in job.completed:
+                end += 1
+            self._next[lane_index] = end
+            return job.assignment(chunks[local], end - local)
         return None
+
+    def _expected_remaining(self, lane_index: int, local: int, pending_attempts: int) -> float:
+        """Attempts the lane is still expected to need past those in flight (0: unknown)."""
+        lane = self._job.lanes[lane_index]
+        if lane.target_released is None:
+            return lane.limit - local * self._job.chunk_size
+        released = self._released[lane_index]
+        if not released:
+            return 0
+        missing = lane.target_released - released
+        return missing * self._attempts[lane_index] / released - pending_attempts
 
     def _covered(self, lane_index: int, pending_attempts: int) -> bool:
         target = self._job.lanes[lane_index].target_released

@@ -41,7 +41,7 @@ class TestGenerationConfig:
     def test_engine_knobs_default_to_in_process_batches(self):
         config = GenerationConfig()
         assert config.num_workers == 1
-        assert (config.batch_size, config.chunk_size) == (2048, 2048)
+        assert (config.batch_size, config.chunk_size) == (8192, 2048)
 
     @pytest.mark.parametrize("field", ["batch_size", "num_workers"])
     @pytest.mark.parametrize("value", [None, 0])

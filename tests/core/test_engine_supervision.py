@@ -163,6 +163,53 @@ class TestRetryExhaustion:
                 engine.run_attempts(32, base_seed=5)
 
 
+class TestLostRanges:
+    """A worker killed inside a multi-chunk range loses the whole range.
+
+    With 16-attempt chunks in batches of 64, the first range after a lane's
+    first release is chunks 2-5 (its share of a 400-row target is capped at
+    four chunks), so the kill at chunk 5 lands inside it.
+    """
+
+    SIZES = dict(chunk_size=16, batch_size=64)
+
+    def _pool(self, unnoised_model, acs_splits, params, fault, **options):
+        return SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params,
+            num_workers=2, fault_injector=fault, **self.SIZES, **options,
+        )
+
+    def test_every_chunk_of_a_lost_range_is_requeued_and_charged_once(
+        self, unnoised_model, acs_splits, params, tmp_path
+    ):
+        fault = KillWorkerAtChunk(chunk_index=5, marker_dir=str(tmp_path), times=1)
+        with self._pool(unnoised_model, acs_splits, params, fault) as engine:
+            report = engine.generate(400, base_seed=3)
+            health = engine.pool_health()
+        assert fault.kills_fired() == 1
+        assert health["worker_restarts"] == 1
+        assert health["chunk_retries"] == {2: 1, 3: 1, 4: 1, 5: 1}
+        with SynthesisEngine(unnoised_model, acs_splits.seeds, params, **self.SIZES) as engine:
+            assert_reports_identical(engine.generate(400, base_seed=3), report)
+
+    def test_a_chunk_of_a_lost_range_still_exhausts_its_retries(
+        self, unnoised_model, acs_splits, params, tmp_path
+    ):
+        # The range's kill charges chunks 2-5 once; chunk 5 alone is killed
+        # again and runs out of its one retry.
+        fault = KillWorkerAtChunk(chunk_index=5, marker_dir=str(tmp_path), times=2)
+        with self._pool(
+            unnoised_model, acs_splits, params, fault, max_chunk_retries=1
+        ) as engine:
+            with pytest.raises(ChunkRetryExhaustedError) as excinfo:
+                engine.generate(400, base_seed=3)
+            assert excinfo.value.chunk_indices == (5,)
+            health = engine.pool_health()
+            assert health["worker_restarts"] == 2
+            assert health["chunk_retries"] == {2: 1, 3: 1, 4: 1, 5: 1}
+            assert not health["broken"]
+
+
 class TestBrokenEngine:
     def test_unstartable_pool_raises_engine_broken(
         self, unnoised_model, acs_splits, params

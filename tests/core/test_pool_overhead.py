@@ -1,12 +1,14 @@
 """What a pool worker costs per chunk, with every released row unchanged.
 
-Three costs of the 2-worker pool against the in-process engine: workers that
+Four costs of the 2-worker pool against the in-process engine: workers that
 handed their heap back to the kernel after every chunk, chunk columns sent
-as int64 over the pipe, and chunks assigned past what a lane's target was
-expected to need.  Each test here checks one of them, and that the rows do
-not move.
+as int64 over the pipe, chunks assigned past what a lane's target was
+expected to need, and one assignment, proposal call and reply per chunk
+where consecutive chunks of a lane could go as one range.  Each test here
+checks one of them, and that the rows do not move.
 """
 
+import dataclasses
 import platform
 import sys
 from multiprocessing.connection import Connection
@@ -15,6 +17,7 @@ from multiprocessing.reduction import ForkingPickler
 import pytest
 
 from repro.core.engine import (
+    FoldSpec,
     SynthesisEngine,
     _Assignment,
     _Job,
@@ -44,6 +47,32 @@ def _engine(model, splits, params, **options):
     return SynthesisEngine(model, splits.seeds, params, **options)
 
 
+@pytest.fixture()
+def pipe_log(monkeypatch):
+    """Every range the parent sends, and every result it reads, by first chunk index."""
+    log = []
+    send, recv = Connection.send, Connection.recv
+
+    def logged_send(conn, obj):
+        if isinstance(obj, _Assignment):
+            log.append(("send", obj.index))
+        return send(conn, obj)
+
+    def logged_recv(conn):
+        message = recv(conn)
+        if message[0] is not None:
+            log.append(("recv", message[1]))
+        return message
+
+    monkeypatch.setattr(Connection, "send", logged_send)
+    monkeypatch.setattr(Connection, "recv", logged_recv)
+    return log
+
+
+def _sends(log):
+    return sum(1 for kind, _ in log if kind == "send")
+
+
 # --------------------------------------------------------------------------- #
 # Narrow columns on the wire and on disk
 # --------------------------------------------------------------------------- #
@@ -67,28 +96,38 @@ def test_worker_message_pickles_narrow(unnoised_model, acs_splits, params):
 
 
 @pytest.mark.parametrize(
-    "writer,reader", [(2, 1), (1, 2)], ids=["pool-then-in-process", "in-process-then-pool"]
+    "writer,reader,batch_size,target",
+    [
+        pytest.param(2, 1, 64, 150, id="pool-then-in-process"),
+        pytest.param(1, 2, 64, 150, id="in-process-then-pool"),
+        # Batches of four chunks: the pool computes ranges, and still
+        # checkpoints one file per grid chunk.
+        pytest.param(2, 1, 256, 1500, id="pool-ranges-then-in-process"),
+    ],
 )
 def test_checkpoints_resume_across_worker_counts(
-    unnoised_model, acs_splits, params, tmp_path, writer, reader
+    unnoised_model, acs_splits, params, tmp_path, pipe_log, writer, reader, batch_size, target
 ):
     store = RunStore(tmp_path / "store")
-    options = dict(chunk_size=64, batch_size=64, run_store=store)
+    options = dict(chunk_size=64, batch_size=batch_size, run_store=store)
     with _engine(unnoised_model, acs_splits, params, num_workers=writer, **options) as engine:
-        written = engine.generate(150, base_seed=8, max_attempts=4000, run_id="r")
+        written = engine.generate(target, base_seed=8, max_attempts=4000, run_id="r")
     chunks = store.load_chunks("r")
     assert len(chunks) >= 2
     for arrays in chunks.values():
         assert arrays["candidates"].dtype.itemsize == 1
         assert arrays["seed_indices"].dtype.itemsize <= 2
+        assert len(arrays["passed"]) <= 64
+    if batch_size > 64:
+        assert _sends(pipe_log) < len(chunks)
     events = []
     with _engine(unnoised_model, acs_splits, params, num_workers=reader, **options) as engine:
         resumed = engine.generate(
-            150, base_seed=8, max_attempts=4000, run_id="r", progress=events.append
+            target, base_seed=8, max_attempts=4000, run_id="r", progress=events.append
         )
     assert events and all(event.from_checkpoint for event in events)
     with _engine(unnoised_model, acs_splits, params, chunk_size=64, batch_size=64) as engine:
-        fresh = engine.generate(150, base_seed=8, max_attempts=4000)
+        fresh = engine.generate(target, base_seed=8, max_attempts=4000)
     for report in (written, resumed):
         assert_reports_identical(fresh, report)
         for name, dtype in COLUMNS.items():
@@ -135,11 +174,19 @@ def _job(*targets, limit=1000, chunk_size=100, completed=frozenset()):
                 completed=completed)
 
 
-def _assign(job, cursors, in_flight):
-    index = cursors.next_chunk(in_flight)
-    if index is not None:
-        in_flight.append(job.assignment(index))
-    return index
+def _assign_range(job, cursors, in_flight, workers=2):
+    """``(first chunk index, chunks)`` of the next range, or None if no lane needs one."""
+    task = cursors.next_range(in_flight, workers)
+    if task is None:
+        return None
+    in_flight.append(task)
+    return task.index, task.chunks
+
+
+def _assign(job, cursors, in_flight, workers=2):
+    """The first chunk index of the next range, or None."""
+    assigned = _assign_range(job, cursors, in_flight, workers)
+    return None if assigned is None else assigned[0]
 
 
 def _arrive(job, cursors, in_flight, index, released):
@@ -213,7 +260,91 @@ class TestSpeculationRule:
 
     def test_a_zero_target_takes_no_chunk(self):
         job = _job(0)
-        assert _LaneCursors(job, {}).next_chunk([]) is None
+        assert _assign(job, _LaneCursors(job, {}), []) is None
+
+
+# --------------------------------------------------------------------------- #
+# Ranges sized from the lane's need, on made-up counts
+# --------------------------------------------------------------------------- #
+def _ranged_job(*targets, limit=1000, completed=frozenset()):
+    """``_job`` with batches of four 100-attempt chunks: ranges of up to 4."""
+    return dataclasses.replace(
+        _job(*targets, limit=limit, completed=completed), batch_size=400
+    )
+
+
+class TestRangeSizing:
+    def test_a_lanes_first_assignments_are_one_chunk(self):
+        job = _ranged_job(300, limit=10_000)
+        cursors, in_flight = _LaneCursors(job, {}), []
+        assert [_assign_range(job, cursors, in_flight) for _ in range(3)] == [
+            (0, 1), (1, 1), (2, 1)
+        ]
+        assert [task.attempts for task in in_flight] == [100, 100, 100]
+
+    def test_after_a_release_a_range_is_the_lanes_share_in_whole_chunks(self):
+        job = _ranged_job(300)
+        cursors, in_flight = _LaneCursors(job, {}), []
+        _assign_range(job, cursors, in_flight)
+        _assign_range(job, cursors, in_flight)
+        # 50 of 100 pass: 500 attempts for the missing 250, less chunk 1's
+        # 100 in flight, is 400; each of 2 workers takes 200, two chunks.
+        _arrive(job, cursors, in_flight, 0, released=50)
+        assert _assign_range(job, cursors, in_flight) == (2, 2)
+        assert in_flight[-1].attempts == 200
+        # 200 more needed: a 100-attempt share, one chunk; then 100, which
+        # rounds down to none but is still one chunk; then covered.
+        assert [_assign_range(job, cursors, in_flight) for _ in range(3)] == [
+            (4, 1), (5, 1), None
+        ]
+
+    def test_a_range_is_at_most_batch_size_over_chunk_size(self):
+        job = _ranged_job(5000, limit=100_000)
+        cursors, in_flight = _LaneCursors(job, {}), []
+        _assign_range(job, cursors, in_flight)
+        _assign_range(job, cursors, in_flight)
+        _arrive(job, cursors, in_flight, 0, released=50)
+        # A 4,900-attempt share is 49 chunks, capped at 400 // 100.
+        assert [_assign_range(job, cursors, in_flight) for _ in range(2)] == [(2, 4), (6, 4)]
+        # With batches of one chunk a range is one chunk, whatever the share.
+        job = _job(5000, limit=100_000)
+        cursors, in_flight = _LaneCursors(job, {}), []
+        _assign_range(job, cursors, in_flight)
+        _arrive(job, cursors, in_flight, 0, released=50)
+        assert _assign_range(job, cursors, in_flight) == (1, 1)
+
+    def test_a_range_never_covers_a_checkpointed_chunk(self):
+        job = _ranged_job(None, completed=frozenset({3}))
+        cursors, in_flight = _LaneCursors(job, {}), []
+        ranges = [_assign_range(job, cursors, in_flight, workers=1) for _ in range(4)]
+        # Chunk 3 cuts the first range short; the last ends at the lane's end.
+        assert ranges == [(0, 3), (4, 4), (8, 2), None]
+        job = _ranged_job(5000, limit=100_000, completed=frozenset({4}))
+        cursors, in_flight = _LaneCursors(job, {}), []
+        _assign_range(job, cursors, in_flight)
+        _arrive(job, cursors, in_flight, 0, released=50)
+        assert _assign_range(job, cursors, in_flight) == (1, 3)
+        assert _assign_range(job, cursors, in_flight) == (5, 4)
+
+    @pytest.mark.parametrize(
+        "workers,limit,expected",
+        [
+            (2, 800, [(0, 4), (4, 2), (6, 1), (7, 1)]),
+            (3, 1200, [(0, 4), (4, 2), (6, 2), (8, 1), (9, 1), (10, 1), (11, 1)]),
+            (2, 350, [(0, 1), (1, 1), (2, 1), (3, 1)]),
+        ],
+    )
+    def test_fixed_budget_ranges_take_one_worker_share_of_what_is_left(
+        self, workers, limit, expected
+    ):
+        # Each range is the unassigned attempts over the worker count, in
+        # whole chunks; the ranges cover the budget once.
+        job = _ranged_job(None, limit=limit)
+        cursors, in_flight = _LaneCursors(job, {}), []
+        ranges = [_assign_range(job, cursors, in_flight, workers) for _ in expected]
+        assert ranges == expected
+        assert _assign_range(job, cursors, in_flight, workers) is None
+        assert sum(task.attempts for task in in_flight) == limit
 
 
 # --------------------------------------------------------------------------- #
@@ -253,27 +384,6 @@ class TestSpeculationOnALivePool:
                     return seed, first, second
         pytest.fail("no base seed below 200 releases fewer rows in chunk 1 than in chunk 0")
 
-    @pytest.fixture()
-    def pipe_log(self, monkeypatch):
-        """Every chunk the parent sends, and every chunk result it reads."""
-        log = []
-        send, recv = Connection.send, Connection.recv
-
-        def logged_send(conn, obj):
-            if isinstance(obj, _Assignment):
-                log.append(("send", obj.index))
-            return send(conn, obj)
-
-        def logged_recv(conn):
-            message = recv(conn)
-            if message[0] is not None:
-                log.append(("recv", message[1]))
-            return message
-
-        monkeypatch.setattr(Connection, "send", logged_send)
-        monkeypatch.setattr(Connection, "recv", logged_recv)
-        return log
-
     def _in_process(self, model, splits, params, target, seed):
         with _engine(model, splits, params, chunk_size=self.CHUNK) as engine:
             return engine.generate(target, base_seed=seed)
@@ -303,6 +413,46 @@ class TestSpeculationOnALivePool:
         expected = self._in_process(unnoised_model, acs_splits, params, target, seed)
         assert_reports_identical(expected, report)
         assert report.num_released == target
+
+
+class TestRangesOnALivePool:
+    """16-attempt chunks in batches of 64: a worker computes up to four
+    consecutive chunks of a lane as one range, with one reply, and the
+    parent cuts the reply back into chunks."""
+
+    OPTIONS = dict(chunk_size=16, batch_size=64)
+
+    @pytest.fixture(scope="class")
+    def pool(self, unnoised_model, acs_splits, params):
+        with _engine(unnoised_model, acs_splits, params, num_workers=2, **self.OPTIONS) as engine:
+            yield engine.start()
+
+    def test_a_release_sends_fewer_ranges_than_it_receives_chunks(
+        self, pool, pipe_log, unnoised_model, acs_splits, params
+    ):
+        events = []
+        report = pool.generate(400, base_seed=23, progress=events.append)
+        assert _sends(pipe_log) < len(events)
+        assert len({event.chunk_index for event in events}) == len(events)
+        with _engine(unnoised_model, acs_splits, params, **self.OPTIONS) as engine:
+            assert_reports_identical(engine.generate(400, base_seed=23), report)
+
+    def test_a_fold_sends_fewer_ranges_than_it_receives_chunks(
+        self, pool, pipe_log, unnoised_model, acs_splits, params
+    ):
+        specs = [
+            FoldSpec(num_released=300, base_seed=31),
+            FoldSpec(num_released=200, base_seed=2**40 + 7),
+            FoldSpec(num_released=250, base_seed=31),
+        ]
+        events = []
+        folded = pool.generate_folded(specs, progress=events.append)
+        assert _sends(pipe_log) < len(events)
+        assert {event.lane_index for event in events} == {0, 1, 2}
+        with _engine(unnoised_model, acs_splits, params, **self.OPTIONS) as engine:
+            for lane, (spec, report) in enumerate(zip(specs, folded)):
+                expected = engine.generate(spec.num_released, base_seed=spec.base_seed)
+                assert_reports_identical(expected, report, context=f"lane {lane}")
 
 
 # --------------------------------------------------------------------------- #

@@ -117,6 +117,36 @@ class TestPerformanceAndPassRate:
         totals = result.column("total (s)")
         assert all(later >= earlier for earlier, later in zip(totals, totals[1:]))
 
+    def test_figure5_times_no_index_build_as_synthesis(self, monkeypatch):
+        # The prefix-key index is part of preparing the mechanism: built
+        # inside the timed run_attempts calls, it made the first checkpoint's
+        # rate several times lower than the later ones'.
+        from repro.core import mechanism as mechanism_module
+
+        timed = []
+        built_while_timed = []
+        run_attempts = mechanism_module.SynthesisMechanism.run_attempts
+        index_class = mechanism_module._SeedMatchIndex
+
+        def spied_run_attempts(mechanism, *args, **kwargs):
+            timed.append(True)
+            try:
+                return run_attempts(mechanism, *args, **kwargs)
+            finally:
+                timed.pop()
+
+        def spied_index(*args, **kwargs):
+            built_while_timed.append(bool(timed))
+            return index_class(*args, **kwargs)
+
+        monkeypatch.setattr(
+            mechanism_module.SynthesisMechanism, "run_attempts", spied_run_attempts
+        )
+        monkeypatch.setattr(mechanism_module, "_SeedMatchIndex", spied_index)
+        fresh = ExperimentContext(num_raw_records=2000, synthetic_records=50, k=10, seed=6)
+        run_performance_measurement(fresh, checkpoints=(20, 40))
+        assert built_while_timed == [False]
+
     def test_figure6_pass_rate_decreases_with_k(self, context):
         result = run_pass_rate_sweep(
             context, k_values=(5, 200), omegas=(9,), num_candidates=40
